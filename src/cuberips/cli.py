@@ -178,9 +178,7 @@ def cmd_betti(args, parser) -> int:
     budget = _resolve_cli_budget(args)
     t0 = time.perf_counter()
     try:
-        skel = enumerate_skeleton(
-            space, args.maxdim + 1, budget=budget, workers=args.threads
-        )
+        skel = enumerate_skeleton(space, args.maxdim + 1, budget=budget)
     except SizeBudgetExceeded as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         if err.partial_counts:
@@ -200,7 +198,6 @@ def cmd_betti(args, parser) -> int:
             "field": args.field,
             "maxdim": args.maxdim,
             "budget": budget,
-            "threads": args.threads,
         },
         betti=[
             {"dim": i, "value": bv.reduced_betti[i], "trusted": bv.is_trusted(i)}
@@ -432,8 +429,6 @@ def _add_common(sub, maxdim_default: int) -> None:
                      help="highest homology dimension to report")
     sub.add_argument("--budget", type=int, default=None,
                      help="simplex-count cap (default 2^28 or $VRQ_BUDGET)")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="enumeration worker count")
     sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
 

@@ -10,7 +10,6 @@ vertex-set bitmasks and of combinatorial-number-system ranks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -159,19 +158,7 @@ class Skeleton:
         return [int(i) for i in pos]
 
 
-def _expand_chunk(chunk, adj):
-    out = []
-    for smask, cand in chunk:
-        c = cand
-        while c:
-            low = c & -c
-            u = low.bit_length() - 1
-            c ^= low
-            out.append((smask | low, cand & adj[u] & -(low << 1)))
-    return out
-
-
-def _enumerate_masks(adj, nv, dim_cap, budget, keep_dims=None, workers=1):
+def _enumerate_masks(adj, nv, dim_cap, budget, keep_dims=None):
     """Breadth-first clique expansion over adjacency bitmasks.
 
     Returns (layers, counts, complete) where layers maps each kept dimension
@@ -206,14 +193,15 @@ def _enumerate_masks(adj, nv, dim_cap, budget, keep_dims=None, workers=1):
             raise SizeBudgetExceeded(
                 f"budget {budget} exceeded at dimension {k + 1}", counts
             )
-        if workers > 1 and len(frontier) > 4 * workers:
-            step = -(-len(frontier) // workers)
-            chunks = [frontier[i : i + step] for i in range(0, len(frontier), step)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(_expand_chunk, chunks, [adj] * len(chunks))
-            frontier = [item for part in parts for item in part]
-        else:
-            frontier = _expand_chunk(frontier, adj)
+        grown = []
+        for smask, cand in frontier:
+            c = cand
+            while c:
+                low = c & -c
+                u = low.bit_length() - 1
+                c ^= low
+                grown.append((smask | low, cand & adj[u] & -(low << 1)))
+        frontier = grown
         k += 1
 
 
@@ -228,9 +216,7 @@ def _skeleton_from_mask_layers(verts, layers, dim_cap, complete, source) -> Skel
     )
 
 
-def enumerate_skeleton(
-    space: SpaceSpec, dim_cap: int, budget=None, workers: int = 1
-) -> Skeleton:
+def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
     """All simplices of the flag complex of space, up to dimension dim_cap.
 
     Simplices are the vertex sets of pairwise Hamming distance <= space.r.
@@ -241,16 +227,14 @@ def enumerate_skeleton(
         raise ValueError("dim_cap must be nonnegative")
     budget = _resolve_budget(budget)
     adj = neighbor_masks(space)
-    layers, _, complete = _enumerate_masks(
-        adj, space.m, dim_cap, budget, workers=workers
-    )
+    layers, _, complete = _enumerate_masks(adj, space.m, dim_cap, budget)
     return _skeleton_from_mask_layers(
         np.arange(space.m, dtype=np.int64), layers, dim_cap, complete, space
     )
 
 
 def flag_skeleton_from_graph(
-    labels, edges, dim_cap: int, budget=None, workers: int = 1, source=None
+    labels, edges, dim_cap: int, budget=None, source=None
 ) -> Skeleton:
     """Flag complex of an explicit graph (labels sorted, edges as label pairs)."""
     if dim_cap < 0:
@@ -270,9 +254,7 @@ def flag_skeleton_from_graph(
             raise ValueError(f"edge ({a}, {b}) uses an unknown label") from err
         adj[ia] |= 1 << ib
         adj[ib] |= 1 << ia
-    layers, _, complete = _enumerate_masks(
-        adj, len(verts), dim_cap, budget, workers=workers
-    )
+    layers, _, complete = _enumerate_masks(adj, len(verts), dim_cap, budget)
     if source is None:
         source = ("graph", len(verts))
     return _skeleton_from_mask_layers(verts, layers, dim_cap, complete, source)

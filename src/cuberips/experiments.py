@@ -25,7 +25,7 @@ from .complexes import (
 )
 from .formulas import PredictionRecord, link_sphere_count, predicted_betti
 from .hamming import SpaceSpec
-from .homology import BettiVector, _facet_row_indices, betti_numbers
+from .homology import BettiVector, _coboundary_index, _facet_row_indices, betti_numbers
 from .oracle import betti_numbers_dense
 
 
@@ -249,22 +249,21 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     counts = skel.counts
 
     facet_rows = {
-        k: _facet_row_indices(skel, k) for k in range(target_dim + 1, top + 1)
+        k: _facet_row_indices(
+            skel.simplices[k], skel.layer_keys(k - 1), skel.num_vertices
+        )
+        for k in range(target_dim + 1, top + 1)
     }
     alive = {
         k: np.ones(counts[k], dtype=bool) for k in range(target_dim, top + 1)
     }
     alive_count = {k: counts[k] for k in range(target_dim, top + 1)}
     cof_count: dict[int, np.ndarray] = {}
-    cofaces: dict[int, list[list[int]]] = {}
+    cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(target_dim, top):
-        fr = facet_rows[k + 1]
-        cof_count[k] = np.bincount(fr.ravel(), minlength=counts[k])
-        lists: list[list[int]] = [[] for _ in range(counts[k])]
-        for j, row in enumerate(fr.tolist()):
-            for rix in row:
-                lists[rix].append(j)
-        cofaces[k] = lists
+        entries, starts = _coboundary_index(facet_rows[k + 1], counts[k])
+        cof_count[k] = np.diff(starts)
+        cofaces[k] = (entries >> 1, starts)
     heaps = {
         k: [i for i in range(counts[k]) if cof_count[k][i] == 1]
         for k in range(target_dim, top)
@@ -299,7 +298,10 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
         if pair is None:
             break
         k, trow = pair
-        srow = next(j for j in cofaces[k][trow] if alive[k + 1][j])
+        rows, starts = cofaces[k]
+        srow = next(
+            j for j in rows[starts[trow] : starts[trow + 1]].tolist() if alive[k + 1][j]
+        )
         alive[k][trow] = False
         alive[k + 1][srow] = False
         alive_count[k] -= 1

@@ -1,20 +1,28 @@
 """Reduced simplicial homology over prime fields.
 
-Boundary ranks come from left-to-right column reduction with the clearing
-optimization.  Columns are generated on demand from the stored simplex
-arrays — no global sparse matrix is ever materialized.  Over GF(2) a column
-is one arbitrary-precision integer bitmask (XOR is column addition); odd
-primes use small row->coefficient dicts.
+Every boundary computation starts from one index array per layer: row j of
+``_facet_row_indices`` holds, for each vertex position t of the j-th
+k-simplex, the row in layer k-1 of the facet that drops position t.  NumPy
+computes it from combinatorial-number-system ranks and one searchsorted
+against the sorted keys of layer k-1.  The coboundary index is the CSR
+transpose of the next layer's facet rows.  No global sparse matrix is ever
+materialized, and no key arithmetic runs in Python.
 
-The ascending sweep reduces, for each dimension k, the transpose of the
-boundary map from (k+1)-chains to k-chains (same rank), so clearing flows
-from the cheap low dimensions upward and only one pass is needed.
+One function, ``_reduce_index``, turns either index into columns, leaves
+out the cleared ones and reduces left to right.  Over GF(2) a column is one
+arbitrary-precision integer bitmask (XOR is column addition); odd primes use
+small row->coefficient dicts.  An entry that drops position t carries the
+coefficient (-1)**t.
+
+``betti_single_dim`` reduces boundary columns top-down: layer i+1, then
+layer i with the first reduction's pivots cleared.  ``betti_numbers`` sweeps
+upward through coboundary columns, which have the same ranks, so clearing
+flows from the cheap low dimensions upward and one pass suffices.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,8 @@ from .complexes import (
     _rows_from_masks,
 )
 from .hamming import SpaceSpec, neighbor_masks
+
+_BLOCK = 4096  # columns converted to Python lists at a time
 
 
 def _check_prime(p: int) -> int:
@@ -82,13 +92,18 @@ class SparseBoundaryMatrix:
         return dense
 
 
-def _facet_row_indices(skel: Skeleton, k: int) -> np.ndarray:
-    """(N_k, k+1) row indices into layer k-1; column t drops vertex position t."""
-    rows = skel.simplices[k].astype(np.int64)
+def _facet_row_indices(rows: np.ndarray, keys_lo: np.ndarray, nv: int) -> np.ndarray:
+    """Facet rows of a layer of k-simplices on nv vertices.
+
+    Returns an (N_k, k+1) array whose entry [j, t] is the index, in the
+    sorted rank keys keys_lo of layer k-1, of the facet of rows[j] that drops
+    vertex position t.  Raises ValueError when a facet is missing.
+    """
+    rows = rows.astype(np.int64)
     n, width = rows.shape
     if n == 0:
         return np.zeros((0, width), dtype=np.int64)
-    table = _np_binom(skel.num_vertices, width + 1)
+    table = _np_binom(nv, width + 1)
     kept = np.empty((n, width), dtype=np.int64)  # C(v_i, i+1): position kept
     down = np.empty((n, width), dtype=np.int64)  # C(v_i, i): position shifted down
     for i in range(width):
@@ -99,12 +114,37 @@ def _facet_row_indices(skel: Skeleton, k: int) -> np.ndarray:
     suf = np.zeros((n, width + 1), dtype=np.int64)
     suf[:, :width] = down[:, ::-1].cumsum(axis=1)[:, ::-1]
     facet_keys = pre[:, :width] + suf[:, 1:]
-    keys_lo = skel.layer_keys(k - 1)
     flat = facet_keys.ravel()
     idx = np.searchsorted(keys_lo, flat)
     if (idx >= len(keys_lo)).any() or (keys_lo[idx.clip(max=len(keys_lo) - 1)] != flat).any():
         raise ValueError("skeleton is not closed under faces")
     return idx.reshape(n, width)
+
+
+def _boundary_index(facet_rows: np.ndarray):
+    """Boundary columns of a layer as (entries, starts); see _reduce_index."""
+    n, width = facet_rows.shape
+    entries = 2 * facet_rows + (np.arange(width) & 1)
+    return entries.ravel(), np.arange(0, n * width + 1, width)
+
+
+def _coboundary_index(facet_rows: np.ndarray, n_lo: int):
+    """Coboundary columns of the layer below, as (entries, starts).
+
+    The CSR transpose of the facet rows of layer k+1: column c lists, in
+    ascending order, the cofaces of the c-th k-simplex, each with the sign
+    of the facet-row column t it came from.
+    """
+    width = facet_rows.shape[1]
+    flat = facet_rows.ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.zeros(n_lo + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_lo), out=starts[1:])
+    sign = order % width & 1
+    order //= width
+    order <<= 1
+    order |= sign
+    return order, starts
 
 
 def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:
@@ -117,7 +157,9 @@ def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:
         p=p,
         n_rows=len(skel.simplices[k - 1]),
         n_cols=len(skel.simplices[k]),
-        facet_rows=_facet_row_indices(skel, k),
+        facet_rows=_facet_row_indices(
+            skel.simplices[k], skel.layer_keys(k - 1), skel.num_vertices
+        ),
     )
 
 
@@ -159,71 +201,41 @@ def _reduce_modp(columns, p: int) -> tuple[int, list[int]]:
     return len(order), order
 
 
-def _insertion_columns(rows_list, keys_hi, adj, table, p, skip=None):
-    """Transposed-boundary column of each (non-skipped) k-simplex.
+def _reduce_index(entries: np.ndarray, starts: np.ndarray, p: int,
+                  cleared=frozenset()) -> tuple[int, list[int]]:
+    """Rank over GF(p) of the matrix whose column c holds the entries
+    entries[starts[c]:starts[c+1]], leaving out the columns in cleared.
 
-    Rows are the indices, in the (k+1)-layer, of every stored coface; the
-    coface through vertex v carries coefficient (-1)**t with t the insertion
-    position of v.  Cofaces absent from the layer (possible only when the
-    complex is not flag, e.g. after collapses) contribute nothing.
+    An entry 2*row + s stands for the coefficient (-1)**s in that row.
+    Returns the rank and the pivot rows in the order they were found.
     """
     gf2 = p == 2
-    nrows = len(keys_hi)
-    for ci, vs in enumerate(rows_list):
-        if skip is not None and ci in skip:
-            continue
-        cand = -1
-        for u in vs:
-            cand &= adj[u]
-        width = len(vs)
-        pre = [0] * (width + 1)
-        for i in range(width):
-            pre[i + 1] = pre[i] + table[vs[i]][i + 1]
-        shifted = [0] * (width + 1)
-        for i in range(width - 1, -1, -1):
-            shifted[i] = shifted[i + 1] + table[vs[i]][i + 2]
-        col = 0 if gf2 else {}
-        t = 0
-        while cand:
-            lowbit = cand & -cand
-            v = lowbit.bit_length() - 1
-            cand ^= lowbit
-            while t < width and vs[t] < v:
-                t += 1
-            key = pre[t] + table[v][t + 1] + shifted[t]
-            ri = bisect_left(keys_hi, key)
-            if ri < nrows and keys_hi[ri] == key:
+    n = len(starts) - 1
+
+    def columns():
+        # Columns are read in blocks so that only one block at a time is
+        # ever held as Python lists.
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            block = entries[starts[lo] : starts[hi]]
+            rows = (block >> 1).tolist()
+            signs = None if gf2 else (block & 1).tolist()
+            cuts = (starts[lo : hi + 1] - starts[lo]).tolist()
+            for c in range(lo, hi):
+                if c in cleared:
+                    continue
+                a, b = cuts[c - lo], cuts[c - lo + 1]
                 if gf2:
-                    col |= 1 << ri
+                    col = 0
+                    for r in rows[a:b]:
+                        col |= 1 << r
                 else:
-                    col[ri] = 1 if t % 2 == 0 else p - 1
-        yield col
+                    col = {r: p - 1 if s else 1 for r, s in zip(rows[a:b], signs[a:b])}
+                yield col
 
-
-def _facet_columns(rows_list, keys_lo, table, p, skip=None):
-    """Boundary column of each (non-skipped) k-simplex against the (k-1)-layer."""
-    gf2 = p == 2
-    for ci, vs in enumerate(rows_list):
-        if skip is not None and ci in skip:
-            continue
-        width = len(vs)
-        pre = [0] * (width + 1)
-        for i in range(width):
-            pre[i + 1] = pre[i] + table[vs[i]][i + 1]
-        down = [0] * (width + 1)
-        for i in range(width - 1, -1, -1):
-            down[i] = down[i + 1] + table[vs[i]][i]
-        col = 0 if gf2 else {}
-        for j in range(width):
-            key = pre[j] + down[j + 1]
-            ri = bisect_left(keys_lo, key)
-            if ri >= len(keys_lo) or keys_lo[ri] != key:
-                raise ValueError("complex is not closed under faces")
-            if gf2:
-                col |= 1 << ri
-            else:
-                col[ri] = 1 if j % 2 == 0 else p - 1
-        yield col
+    if gf2:
+        return _reduce_gf2(columns())
+    return _reduce_modp(columns(), p)
 
 
 def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
@@ -235,24 +247,26 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     """
     ranks = [0] * (maxdim + 2)
     top_known = True
-    cleared: set[int] | None = None
-    nv = skel.num_vertices
+    cleared: set[int] = set()
     for k in range(maxdim + 1):
         if k + 1 > skel.dim_cap:
             top_known = skel.complete_flag
             break
         if len(skel.simplices[k + 1]) == 0:
-            cleared = None
+            cleared = set()
             continue
-        rows_list = skel.simplices[k].tolist()
-        keys_hi = skel.layer_keys(k + 1).tolist()
-        table = _np_binom(nv, k + 3).tolist()
-        cols = _insertion_columns(rows_list, keys_hi, skel.adjacency(), table, p, cleared)
-        if p == 2:
-            rank, pivot_rows = _reduce_gf2(cols)
-        else:
-            rank, pivot_rows = _reduce_modp(cols, p)
-        ranks[k + 1] = rank
+        # No local names: the facet rows are freed once transposed, and the
+        # coboundary index once reduced.
+        ranks[k + 1], pivot_rows = _reduce_index(
+            *_coboundary_index(
+                _facet_row_indices(
+                    skel.simplices[k + 1], skel.layer_keys(k), skel.num_vertices
+                ),
+                len(skel.simplices[k]),
+            ),
+            p,
+            cleared,
+        )
         cleared = set(pivot_rows)
     return ranks, top_known
 
@@ -282,12 +296,12 @@ def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
         for i in range(maxdim + 1)
     )
     trusted = maxdim if top_known else maxdim - 1
-    assert all(b >= 0 for b in betti[: trusted + 1]), "negative Betti: engine bug"
+    if any(b < 0 for b in betti[: trusted + 1]):
+        raise RuntimeError(f"negative Betti number {betti}: engine bug")
     return BettiVector(p=p, maxdim=maxdim, reduced_betti=betti, trusted_through=trusted)
 
 
-def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None,
-                     workers: int = 1) -> int:
+def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
     """β̃_i of the flag complex of space, keeping only layers i-1, i, i+1.
 
     Exact (not provisional): the full (i+1)-layer is enumerated, so the rank
@@ -299,26 +313,21 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None,
     budget = _resolve_budget(budget)
     adj = neighbor_masks(space)
     layers, counts, _complete = _enumerate_masks(
-        adj, space.m, i + 1, budget, keep_dims=(i - 1, i, i + 1), workers=workers
+        adj, space.m, i + 1, budget, keep_dims=(i - 1, i, i + 1)
     )
     if i >= len(counts) or counts[i] == 0:
         return 0
     nv = space.m
-    table = _np_binom(nv, i + 3).tolist()
-
-    def prep(k):
-        rows = _rows_from_masks(layers.get(k, []), k)
-        return rows.tolist(), _layer_ranks(rows, nv).tolist()
-
-    rows_hi, _ = prep(i + 1)
-    rows_mid, keys_mid = prep(i)
-    _, keys_lo = prep(i - 1)
-    if p == 2:
-        r_hi, pivot_rows = _reduce_gf2(_facet_columns(rows_hi, keys_mid, table, p))
-        r_lo, _ = _reduce_gf2(_facet_columns(rows_mid, keys_lo, table, p, set(pivot_rows)))
-    else:
-        r_hi, pivot_rows = _reduce_modp(_facet_columns(rows_hi, keys_mid, table, p), p)
-        r_lo, _ = _reduce_modp(_facet_columns(rows_mid, keys_lo, table, p, set(pivot_rows)), p)
+    rows = {k: _rows_from_masks(layers.pop(k, []), k) for k in (i - 1, i, i + 1)}
+    keys_lo = _layer_ranks(rows.pop(i - 1), nv)
+    keys_mid = _layer_ranks(rows[i], nv)
+    r_hi, pivot_rows = _reduce_index(
+        *_boundary_index(_facet_row_indices(rows.pop(i + 1), keys_mid, nv)), p
+    )
+    r_lo, _ = _reduce_index(
+        *_boundary_index(_facet_row_indices(rows.pop(i), keys_lo, nv)), p,
+        set(pivot_rows),
+    )
     return counts[i] - r_lo - r_hi
 
 

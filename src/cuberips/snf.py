@@ -144,7 +144,9 @@ def _boundary_sparse_int(skel: Skeleton, k: int) -> _SparseInt:
     sp = _SparseInt()
     if len(skel.simplices[k]) == 0:
         return sp
-    facet_rows = _facet_row_indices(skel, k)
+    facet_rows = _facet_row_indices(
+        skel.simplices[k], skel.layer_keys(k - 1), skel.num_vertices
+    )
     for j, frow in enumerate(facet_rows.tolist()):
         for t, r in enumerate(frow):
             sp.set(r, j, 1 if t % 2 == 0 else -1)
@@ -178,6 +180,8 @@ def integer_homology_snf(skel: Skeleton, i: int) -> IntegerHomologySummary:
         divisors_hi = []
     free = counts[i] - rank_lo - len(divisors_hi)
     torsion = tuple(d for d in divisors_hi if d > 1)
-    if i == 0:
-        assert free == connected_components(skel)
+    if i == 0 and free != connected_components(skel):
+        raise RuntimeError(
+            f"free rank {free} of H_0 differs from the component count: engine bug"
+        )
     return IntegerHomologySummary(dimension=i, free_rank=free, torsion=torsion)

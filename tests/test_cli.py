@@ -172,12 +172,3 @@ def test_reports_are_deterministic(capsys):
     b = json.loads(capsys.readouterr().out)
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
-
-
-def test_thread_flag_does_not_change_values(capsys):
-    base = ["betti", "--n", "4", "--r", "2", "--maxdim", "3"]
-    assert main(base + ["--threads", "1"]) == 0
-    one = _strip_elapsed(capsys.readouterr().out)
-    assert main(base + ["--threads", "4"]) == 0
-    four = _strip_elapsed(capsys.readouterr().out)
-    assert one == four

@@ -92,12 +92,26 @@ def test_enumerate_argument_validation():
         enumerate_skeleton(SpaceSpec(m=4, r=1), 2, budget=0)
 
 
-def test_worker_count_does_not_change_output():
-    space = SpaceSpec.hypercube(4, 2)
-    one = enumerate_skeleton(space, 4, workers=1)
-    four = enumerate_skeleton(space, 4, workers=4)
-    for a, b in zip(one.simplices, four.simplices):
-        assert a.tolist() == b.tolist()
+@pytest.mark.parametrize("n,r", [(5, 2), (4, 3)])
+def test_counts_match_networkx_cliques(n, r):
+    import networkx as nx
+
+    space = SpaceSpec.hypercube(n, r)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(space.m))
+    graph.add_edges_from(
+        (a, b)
+        for a, b in combinations(range(space.m), 2)
+        if hamming_distance(a, b) <= r
+    )
+    expected = [0] * space.m
+    for clique in nx.enumerate_all_cliques(graph):
+        expected[len(clique) - 1] += 1
+    while expected[-1] == 0:
+        expected.pop()
+    skel = enumerate_skeleton(space, len(expected) - 1)
+    assert skel.complete_flag
+    assert skel.counts == tuple(expected)
 
 
 @settings(max_examples=50, deadline=None)

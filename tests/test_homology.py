@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuberips import homology
 from cuberips import (
     Skeleton,
     SpaceSpec,
@@ -216,11 +217,28 @@ def test_dense_rank_oracle_cell_cap():
         dense_rank_oracle(big)
 
 
+def _random_facet_skeleton(rng) -> Skeleton:
+    """Random complex closed downward from a few small facets.
+
+    About two in five are not flag (some hollow triangle or tetrahedron has
+    all its edges), so the coboundary index meets missing cofaces.
+    """
+    nv = int(rng.integers(3, 8))
+    facets = [
+        rng.choice(nv, size=int(rng.integers(2, min(nv, 4) + 1)), replace=False)
+        for _ in range(int(rng.integers(3, 10)))
+    ]
+    top = max(len(f) for f in facets) - 1
+    return skeleton_from_facets(facets, dim_cap=int(rng.integers(top - 1, top + 2)))
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_sparse_matches_dense_on_random_complexes(p):
     rng = np.random.default_rng(p)
-    for _ in range(15):
-        skel = random_flag_skeleton(rng)
+    facet_rng = np.random.default_rng(100 + p)
+    skeletons = [random_flag_skeleton(rng) for _ in range(15)]
+    skeletons += [_random_facet_skeleton(facet_rng) for _ in range(30)]
+    for skel in skeletons:
         sparse = betti_numbers(skel, p=p)
         dense = betti_numbers_dense(skel, p=p)
         assert sparse.reduced_betti == dense.reduced_betti
@@ -237,3 +255,16 @@ def test_relabelling_does_not_change_betti(q4r2):
             range(16), [(perm[a], perm[b]) for a, b in edges], 5
         )
         assert betti_numbers(relabelled, maxdim=4).reduced_betti == base
+
+
+def test_negative_betti_raises(monkeypatch):
+    real = homology._coboundary_ranks
+
+    def inflated(skel, maxdim, p):
+        ranks, top_known = real(skel, maxdim, p)
+        ranks[1] += 1
+        return ranks, top_known
+
+    monkeypatch.setattr(homology, "_coboundary_ranks", inflated)
+    with pytest.raises(RuntimeError, match="negative Betti"):
+        betti_numbers(_triangle_circle())
