@@ -3,8 +3,15 @@ combinatorial ranking, and a plain-text export.
 
 A skeleton stores one index array per dimension.  Rows are vertex indices
 into ``verts`` (the sorted external labels), ascending within each row, and
-rows are sorted colexicographically — the same order as the numeric order of
-vertex-set bitmasks and of combinatorial-number-system ranks.
+rows are sorted colexicographically — the order of combinatorial-number-system
+ranks.  These uint32 row arrays are the only simplex format: enumeration
+produces them directly and homology reads them.
+
+Enumeration grows one layer at a time.  Next to its rows, layer k keeps
+packed candidate bitsets: row j of ``cand`` has bit u set when u is above
+the top vertex of simplex j and adjacent to all its vertices.  Each set bit
+is one child in layer k+1, so the next layer's size is a popcount, known
+before anything is built.
 """
 
 from __future__ import annotations
@@ -70,18 +77,6 @@ def _layer_ranks(rows: np.ndarray, nv: int) -> np.ndarray:
     return out
 
 
-def _rows_from_masks(masks: list[int], k: int) -> np.ndarray:
-    arr = np.empty((len(masks), k + 1), dtype=np.uint32)
-    for i, smask in enumerate(masks):
-        j = 0
-        while smask:
-            low = smask & -smask
-            arr[i, j] = low.bit_length() - 1
-            smask ^= low
-            j += 1
-    return arr
-
-
 @dataclass(eq=False)
 class Skeleton:
     """Per-dimension simplex inventories of a simplicial complex.
@@ -98,7 +93,6 @@ class Skeleton:
     dim_cap: int
     complete_flag: bool
     source: object = None
-    _adj: list[int] | None = field(default=None, init=False, repr=False)
     _keys: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -115,17 +109,6 @@ class Skeleton:
             if len(self.simplices[k]):
                 return k
         return -1
-
-    def adjacency(self) -> list[int]:
-        """Bitmasks over vertex indices of the stored 1-skeleton."""
-        if self._adj is None:
-            masks = [0] * self.num_vertices
-            if self.dim_cap >= 1:
-                for a, b in self.simplices[1].tolist():
-                    masks[a] |= 1 << b
-                    masks[b] |= 1 << a
-            self._adj = masks
-        return self._adj
 
     def layer_keys(self, k: int) -> np.ndarray:
         """Sorted int64 rank keys of the dimension-k layer."""
@@ -158,62 +141,74 @@ class Skeleton:
         return [int(i) for i in pos]
 
 
-def _enumerate_masks(adj, nv, dim_cap, budget, keep_dims=None):
-    """Breadth-first clique expansion over adjacency bitmasks.
-
-    Returns (layers, counts, complete) where layers maps each kept dimension
-    to its ascending list of vertex-set masks.  Each simplex carries the mask
-    of still-extendable vertices (neighbors of all members, above the max),
-    so the size of the next layer is known before it is materialized and a
-    budget overrun aborts cleanly.
-    """
-    keep = (
-        set(range(dim_cap + 1))
-        if keep_dims is None
-        else {d for d in keep_dims if 0 <= d <= dim_cap}
+def _upper_adjacency(space: SpaceSpec) -> np.ndarray:
+    """neighbor_masks(space) packed as an (m, ceil(m/64)) little-endian
+    uint64 array, keeping in row v only the neighbours above v."""
+    words = -(-space.m // 64)
+    buf = b"".join(
+        (mask >> (v + 1) << (v + 1)).to_bytes(8 * words, "little")
+        for v, mask in enumerate(neighbor_masks(space))
     )
-    frontier = [(1 << v, adj[v] & -(2 << v)) for v in range(nv)]
-    layers: dict[int, list[int]] = {}
+    return np.frombuffer(buf, dtype="<u8").reshape(space.m, words)
+
+
+def _next_layer(rows, cand, up, size):
+    """Rows and candidates of layer k+1, one child per set candidate bit.
+
+    Candidates are unpacked one 64-bit word at a time, so the unpacked bits
+    never exceed 64 bytes per row.  Their positions 64*parent + bit come in
+    parent order; a stable sort on the bit (a radix sort of uint8 keys)
+    orders the children by new top vertex u, then by parent: colex order.
+    A child keeps the parent's candidates that are neighbours of u above u.
+    """
+    n, width = rows.shape
+    child_rows = np.empty((size, width + 1), dtype=np.uint32)
+    child_cand = np.empty((size, up.shape[1]), dtype=up.dtype)
+    at = 0
+    for w in range(up.shape[1]):
+        word = np.ascontiguousarray(cand[:, w], dtype="<u8").view(np.uint8)
+        flat = np.flatnonzero(np.unpackbits(word, bitorder="little").view(bool))
+        flat = flat[np.argsort((flat & 63).astype(np.uint8), kind="stable")]
+        parent, u = flat >> 6, (flat & 63) + 64 * w
+        end = at + len(u)
+        child_rows[at:end, :width] = rows[parent]
+        child_rows[at:end, width] = u
+        np.bitwise_and(cand[parent], up[u], out=child_cand[at:end])
+        at = end
+    return child_rows, child_cand
+
+
+def _flag_layers(graph, dim_cap, budget=None, keep_dims=None):
+    """Breadth-first clique expansion over packed candidate bitsets.
+
+    graph is a SpaceSpec, or an (nv, ceil(nv/64)) little-endian uint64 array
+    whose row v has bit u set iff u > v and uv is an edge.  Returns (layers,
+    counts, complete); layers maps each dimension in keep_dims (default: all)
+    to its uint32 rows.  Each layer's size is known before it is built, so a
+    budget overrun aborts cleanly with the counts of the finished layers.
+    """
+    budget = _resolve_budget(budget)
+    up = _upper_adjacency(graph) if isinstance(graph, SpaceSpec) else graph
+    nv = len(up)
+    keep = range(dim_cap + 1) if keep_dims is None else keep_dims
+    layers = {k: np.zeros((0, k + 1), dtype=np.uint32) for k in keep}
+    rows, cand = np.arange(nv, dtype=np.uint32).reshape(nv, 1), up
     counts: list[int] = []
-    total, k = 0, 0
-    while True:
-        if total + len(frontier) > budget:
+    size = nv  # of layer k, from the popcount of layer k-1's candidates
+    for k in range(dim_cap + 1):
+        if sum(counts) + size > budget:
             raise SizeBudgetExceeded(
                 f"budget {budget} exceeded at dimension {k}", counts
             )
-        total += len(frontier)
-        counts.append(len(frontier))
-        frontier.sort()
-        if k in keep:
-            layers[k] = [smask for smask, _ in frontier]
-        grow = sum(cand.bit_count() for _, cand in frontier)
-        if k == dim_cap or grow == 0:
-            return layers, counts, grow == 0
-        if total + grow > budget:
-            raise SizeBudgetExceeded(
-                f"budget {budget} exceeded at dimension {k + 1}", counts
-            )
-        grown = []
-        for smask, cand in frontier:
-            c = cand
-            while c:
-                low = c & -c
-                u = low.bit_length() - 1
-                c ^= low
-                grown.append((smask | low, cand & adj[u] & -(low << 1)))
-        frontier = grown
-        k += 1
-
-
-def _skeleton_from_mask_layers(verts, layers, dim_cap, complete, source) -> Skeleton:
-    sims = [_rows_from_masks(layers.get(k, []), k) for k in range(dim_cap + 1)]
-    return Skeleton(
-        verts=np.asarray(verts, dtype=np.int64),
-        simplices=sims,
-        dim_cap=dim_cap,
-        complete_flag=complete,
-        source=source,
-    )
+        if k:
+            rows, cand = _next_layer(rows, cand, up, size)
+        counts.append(size)
+        if k in layers:
+            layers[k] = rows
+        size = int(np.bitwise_count(cand).sum())
+        if size == 0:
+            break
+    return layers, counts, size == 0
 
 
 def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
@@ -225,11 +220,13 @@ def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
-    budget = _resolve_budget(budget)
-    adj = neighbor_masks(space)
-    layers, _, complete = _enumerate_masks(adj, space.m, dim_cap, budget)
-    return _skeleton_from_mask_layers(
-        np.arange(space.m, dtype=np.int64), layers, dim_cap, complete, space
+    layers, _, complete = _flag_layers(space, dim_cap, budget)
+    return Skeleton(
+        verts=np.arange(space.m, dtype=np.int64),
+        simplices=list(layers.values()),
+        dim_cap=dim_cap,
+        complete_flag=complete,
+        source=space,
     )
 
 
@@ -239,25 +236,29 @@ def flag_skeleton_from_graph(
     """Flag complex of an explicit graph (labels sorted, edges as label pairs)."""
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
-    budget = _resolve_budget(budget)
     verts = np.asarray(sorted(int(v) for v in labels), dtype=np.int64)
     if len(np.unique(verts)) != len(verts):
         raise ValueError("labels must be distinct")
     lookup = {int(v): i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
+    nv = len(verts)
+    upper = np.zeros((nv, 64 * -(-nv // 64)), dtype=bool)
     for a, b in edges:
         if a == b:
             raise ValueError(f"loop edge at {a}")
         try:
-            ia, ib = lookup[int(a)], lookup[int(b)]
+            ia, ib = sorted((lookup[int(a)], lookup[int(b)]))
         except KeyError as err:
             raise ValueError(f"edge ({a}, {b}) uses an unknown label") from err
-        adj[ia] |= 1 << ib
-        adj[ib] |= 1 << ia
-    layers, _, complete = _enumerate_masks(adj, len(verts), dim_cap, budget)
-    if source is None:
-        source = ("graph", len(verts))
-    return _skeleton_from_mask_layers(verts, layers, dim_cap, complete, source)
+        upper[ia, ib] = True
+    up = np.packbits(upper, axis=1, bitorder="little").view("<u8")
+    layers, _, complete = _flag_layers(up, dim_cap, budget)
+    return Skeleton(
+        verts=verts,
+        simplices=list(layers.values()),
+        dim_cap=dim_cap,
+        complete_flag=complete,
+        source=("graph", nv) if source is None else source,
+    )
 
 
 def link_complex(space: SpaceSpec, v: int, dim_cap: int, budget=None) -> Skeleton:
@@ -303,18 +304,22 @@ def skeleton_from_facets(facets, dim_cap=None, source=None) -> Skeleton:
     top = max(len(f) for f in facets) - 1
     if dim_cap is None:
         dim_cap = top
-    by_dim: list[set[int]] = [set() for _ in range(min(dim_cap, top) + 1)]
+    by_dim: list[set[tuple[int, ...]]] = [set() for _ in range(dim_cap + 1)]
     for f in facets:
         idx = [lookup[v] for v in f]
         for k in range(min(dim_cap, len(idx) - 1) + 1):
-            for sub in combinations(idx, k + 1):
-                smask = 0
-                for u in sub:
-                    smask |= 1 << u
-                by_dim[k].add(smask)
-    layers = {k: sorted(s) for k, s in enumerate(by_dim)}
-    return _skeleton_from_mask_layers(
-        verts, layers, dim_cap, dim_cap >= top, source or ("facets", len(facets))
+            by_dim[k].update(combinations(idx, k + 1))
+    sims = [
+        np.array(sorted(faces, key=lambda c: c[::-1]), dtype=np.uint32)  # colex
+        .reshape(-1, k + 1)
+        for k, faces in enumerate(by_dim)
+    ]
+    return Skeleton(
+        verts=np.asarray(verts, dtype=np.int64),
+        simplices=sims,
+        dim_cap=dim_cap,
+        complete_flag=dim_cap >= top,
+        source=source or ("facets", len(facets)),
     )
 
 
@@ -377,18 +382,15 @@ def star_cluster(skel: Skeleton, sigma) -> Skeleton:
     idx = skel._indices_of(sigma)
     if not skel.has_simplex(sigma):
         raise ValueError(f"sigma {sigma} is not a simplex of the skeleton")
-    adj = skel.adjacency()
-    closed = [adj[i] | (1 << i) for i in idx]
+    near = np.eye(skel.num_vertices, dtype=bool)  # closed neighbourhoods
+    if skel.dim_cap >= 1:
+        a, b = skel.simplices[1].T
+        near[a, b] = near[b, a] = True
+    closed = near[idx]
     keep_vertex = np.zeros(skel.num_vertices, dtype=bool)
     kept_layers = []
     for arr in skel.simplices:
-        flags = np.zeros(len(arr), dtype=bool)
-        for i, row in enumerate(arr.tolist()):
-            smask = 0
-            for u in row:
-                smask |= 1 << u
-            flags[i] = any((smask & ~c) == 0 for c in closed)
-        kept = arr[flags]
+        kept = arr[closed[:, arr].all(axis=2).any(axis=0)]
         kept_layers.append(kept)
         if len(kept) and kept.shape[1] == 1:
             keep_vertex[kept[:, 0]] = True

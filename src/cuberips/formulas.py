@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .hamming import bit_positions
 
 
@@ -29,29 +27,28 @@ def link_sphere_count(x: int) -> int:
     )
 
 
-def _alpha_values(limit: int) -> np.ndarray:
-    """Vector of link_sphere_count(k) for k = 0 .. limit-1.
-
-    Rewrites the per-number sum bitwise: a set bit at position p contributes
-    (p + 1) * max(t - 1, 0) where t is the number of set bits strictly above
-    p.  Safe for limit up to 2**20 or so within int64.
-    """
-    ks = np.arange(limit, dtype=np.uint64)
-    out = np.zeros(limit, dtype=np.int64)
-    p = 0
-    while (1 << p) < max(limit, 2):
-        above = np.bitwise_count(ks >> np.uint64(p + 1)).astype(np.int64)
-        has = ((ks >> np.uint64(p)) & np.uint64(1)).astype(np.int64)
-        out += has * np.maximum(above - 1, 0) * (p + 1)
-        p += 1
-    return out
-
-
 def three_sphere_count(m: int) -> int:
-    """Number of 3-spheres in the wedge for the distance-2 flag complex on 0..m-1."""
+    """Number of 3-spheres in the wedge for the distance-2 flag complex on 0..m-1.
+
+    Sums link_sphere_count(k) over k < m exactly, in O(log(m)**2) steps.  A
+    set bit of k at position p adds (p+1) * max(t-1, 0), t = set bits above p.
+    The k < m form one block per set bit b of m: k copies m's c set bits
+    above b, has 0 at b, and is free below.  The prefix bits add the same to
+    all 2**b members.  Free bit p, with a = b-1-p free bits above it, adds
+    (p+1) * 2**p * sum_x C(a, x) max(c+x-1, 0)
+      = (p+1) * 2**p * (2**a (c-1) + a 2**(a-1) + [c = 0]).
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return int(_alpha_values(m).sum())
+    total = 0
+    prefix = 0  # contribution of the prefix bits to one number of the block
+    for c, b in enumerate(bit_positions(m)):
+        total += prefix << b
+        for p in range(b):
+            a = b - 1 - p
+            total += (p + 1) * (((c - 1) << a) + ((a << a) >> 1) + (c == 0)) << p
+        prefix += (b + 1) * max(c - 1, 0)
+    return total
 
 
 def hypercube_three_sphere_count(n: int) -> int:

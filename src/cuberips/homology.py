@@ -29,13 +29,11 @@ import numpy as np
 
 from .complexes import (
     Skeleton,
-    _enumerate_masks,
+    _flag_layers,
     _layer_ranks,
     _np_binom,
-    _resolve_budget,
-    _rows_from_masks,
 )
-from .hamming import SpaceSpec, neighbor_masks
+from .hamming import SpaceSpec
 
 _BLOCK = 4096  # columns converted to Python lists at a time
 
@@ -310,15 +308,12 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
     _check_prime(p)
     if i < 1:
         raise ValueError("i must be >= 1 (betti_numbers covers dimension 0)")
-    budget = _resolve_budget(budget)
-    adj = neighbor_masks(space)
-    layers, counts, _complete = _enumerate_masks(
-        adj, space.m, i + 1, budget, keep_dims=(i - 1, i, i + 1)
+    rows, counts, _complete = _flag_layers(
+        space, i + 1, budget, keep_dims=(i - 1, i, i + 1)
     )
     if i >= len(counts) or counts[i] == 0:
         return 0
     nv = space.m
-    rows = {k: _rows_from_masks(layers.pop(k, []), k) for k in (i - 1, i, i + 1)}
     keys_lo = _layer_ranks(rows.pop(i - 1), nv)
     keys_mid = _layer_ranks(rows[i], nv)
     r_hi, pivot_rows = _reduce_index(

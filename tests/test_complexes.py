@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from cuberips import (
     SizeBudgetExceeded,
     Skeleton,
     SpaceSpec,
+    betti_single_dim,
     delete_vertex,
     enumerate_skeleton,
     flag_skeleton_from_graph,
@@ -85,6 +86,21 @@ def test_budget_abort_carries_partial_counts():
         enumerate_skeleton(space, 5, budget=391)
 
 
+def test_budget_abort_is_clean_at_every_size():
+    space = SpaceSpec.hypercube(4, 2)
+    counts = (16, 80, 160, 120, 16)  # 392 simplices; layer 5 is empty
+    for budget in range(1, sum(counts)):
+        # the layers finished before the abort: the longest prefix that fits
+        fits = sum(1 for total in accumulate(counts) if total <= budget)
+        for run in (
+            lambda: enumerate_skeleton(space, 5, budget=budget),
+            lambda: betti_single_dim(space, 3, budget=budget),
+        ):
+            with pytest.raises(SizeBudgetExceeded) as err:
+                run()
+            assert err.value.partial_counts == counts[:fits], f"budget={budget}"
+
+
 def test_enumerate_argument_validation():
     with pytest.raises(ValueError):
         enumerate_skeleton(SpaceSpec(m=4, r=1), -1)
@@ -112,6 +128,45 @@ def test_counts_match_networkx_cliques(n, r):
     skel = enumerate_skeleton(space, len(expected) - 1)
     assert skel.complete_flag
     assert skel.counts == tuple(expected)
+
+
+def _networkx_clique_counts(nodes, edges) -> tuple[int, ...]:
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    counts = [0] * len(nodes)
+    for clique in nx.enumerate_all_cliques(graph):
+        counts[len(clique) - 1] += 1
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 100, 129])
+def test_prefix_counts_match_networkx_across_words(m):
+    # above 64 vertices the candidate bitsets span several uint64 words
+    space = SpaceSpec(m=m, r=2)
+    expected = _networkx_clique_counts(
+        range(m),
+        [(a, b) for a, b in combinations(range(m), 2) if hamming_distance(a, b) <= 2],
+    )
+    skel = enumerate_skeleton(space, len(expected) - 1)
+    assert skel.complete_flag
+    assert skel.counts == expected
+
+
+def test_random_graph_past_one_word_is_in_colex_order():
+    rng = np.random.default_rng(20)
+    labels = rng.choice(10_000, size=150, replace=False).tolist()
+    edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < 0.25]
+    expected = _networkx_clique_counts(labels, edges)
+    skel = flag_skeleton_from_graph(labels, edges, len(expected) - 1)
+    assert skel.counts == expected
+    assert len(expected) > 4
+    for k in range(skel.dim_cap + 1):
+        assert (np.diff(skel.layer_keys(k)) > 0).all(), f"k={k}"
 
 
 @settings(max_examples=50, deadline=None)
@@ -214,8 +269,11 @@ def test_star_cluster_keeps_dominated_simplices(q4r2):
     sigma = (0, 3)
     cluster = star_cluster(q4r2, sigma)
     assert cluster.has_simplex(sigma)
-    adj = q4r2.adjacency()
-    closed = [adj[v] | (1 << v) for v in sigma]
+    closed = [1 << v for v in sigma]  # closed neighbourhoods, as label bitmasks
+    for a, b in q4r2.simplices[1].tolist():
+        for j, v in enumerate(sigma):
+            if v in (a, b):
+                closed[j] |= (1 << a) | (1 << b)
     for k in range(cluster.dim_cap + 1):
         for row in cluster.simplices[k].tolist():
             smask = 0

@@ -41,6 +41,19 @@ def test_three_sphere_count_is_a_running_sum():
         three_sphere_count(0)
 
 
+def test_three_sphere_count_matches_running_sum_through_2048():
+    total = 0
+    for m in range(1, 2049):
+        total += link_sphere_count(m - 1)
+        assert three_sphere_count(m) == total, f"m={m}"
+
+
+def test_three_sphere_count_on_hypercubes_past_int64():
+    for n in range(3, 129):
+        assert three_sphere_count(2**n) == hypercube_three_sphere_count(n), f"n={n}"
+    assert three_sphere_count(2**128) > 2**63
+
+
 def test_three_sphere_count_monotone():
     values = [three_sphere_count(m) for m in range(1, 300)]
     assert all(a <= b for a, b in zip(values, values[1:]))

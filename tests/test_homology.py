@@ -23,6 +23,7 @@ from cuberips import (
     kneser_independence_complex,
     random_flag_skeleton,
     skeleton_from_facets,
+    three_sphere_count,
 )
 
 RP2_FACETS = [
@@ -158,6 +159,12 @@ def test_single_dim_agrees_with_full_vector(m, r, p):
         skel = enumerate_skeleton(space, i + 1)
         expect = betti_numbers(skel, p=p, maxdim=i).reduced_betti[i]
         assert betti_single_dim(space, i, p=p) == expect
+
+
+@pytest.mark.parametrize("m", [65, 100, 128, 129, 200])
+def test_single_dim_matches_closed_form_across_words(m):
+    # above 64 vertices the candidate bitsets span several uint64 words
+    assert betti_single_dim(SpaceSpec(m=m, r=2), 3) == three_sphere_count(m)
 
 
 def test_connected_components():
