@@ -29,15 +29,19 @@ from .homology import BettiVector, _coboundary_index, _facet_row_indices, betti_
 from .oracle import betti_numbers_dense
 
 
-def _enumerate_best_effort(build, cap: int, budget: int):
-    """Try caps cap, cap-1, ... until one fits the budget; re-raise if none."""
-    while True:
-        try:
-            return build(cap)
-        except SizeBudgetExceeded:
-            if cap == 0:
-                raise
-            cap -= 1
+def _enumerate_best_effort(build, cap: int):
+    """build(cap), or else build at the largest cap that fits the budget.
+
+    The enumerator checks each layer's size before building it, so the
+    layers it finished before an abort are exactly the ones that fit: the
+    retry at that cap cannot abort.  Re-raises when not even the vertices fit.
+    """
+    try:
+        return build(cap)
+    except SizeBudgetExceeded as err:
+        if not err.partial_counts:
+            raise
+        return build(len(err.partial_counts) - 1)
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,8 @@ class SplittingReport:
 
     where link[-1] means 1 if the link of m-1 is empty and 0 otherwise.
     ``holds`` records the verdict for every dimension where all three values
-    were certified; uncertified dimensions are simply absent.  ``reverified``
+    were certified; uncertified dimensions are simply absent.  ``expected``
+    holds the right-hand side for the same dimensions.  ``reverified``
     is set when a mismatch survived an independent dense recomputation.
     """
 
@@ -64,6 +69,7 @@ class SplittingReport:
     betti_link: BettiVector
     link_empty: bool
     holds: dict[int, bool]
+    expected: dict[int, int]
     reverified: bool = False
     note: str = ""
 
@@ -82,11 +88,11 @@ def splitting_check(m: int, r: int, p: int = 2, maxdim: int = 3,
     budget = _resolve_budget(budget)
     space = SpaceSpec(m=m, r=r)
     whole = _enumerate_best_effort(
-        lambda cap: enumerate_skeleton(space, cap, budget=budget), maxdim + 1, budget
+        lambda cap: enumerate_skeleton(space, cap, budget=budget), maxdim + 1
     )
     deleted = delete_vertex(whole, m - 1)
     link = _enumerate_best_effort(
-        lambda cap: link_complex(space, m - 1, cap, budget=budget), maxdim, budget
+        lambda cap: link_complex(space, m - 1, cap, budget=budget), maxdim
     )
     link_empty = link.num_vertices == 0
 
@@ -98,6 +104,7 @@ def splitting_check(m: int, r: int, p: int = 2, maxdim: int = 3,
     b_link = betti_of(link, maxdim - 1)
 
     holds: dict[int, bool] = {}
+    expected: dict[int, int] = {}
     for i in range(maxdim + 1):
         if not (b_whole.is_trusted(i) and b_deleted.is_trusted(i)):
             continue
@@ -107,6 +114,7 @@ def splitting_check(m: int, r: int, p: int = 2, maxdim: int = 3,
             if not b_link.is_trusted(i - 1):
                 continue
             rhs = b_deleted.reduced_betti[i] + b_link.reduced_betti[i - 1]
+        expected[i] = rhs
         holds[i] = b_whole.reduced_betti[i] == rhs
 
     reverified = False
@@ -138,7 +146,8 @@ def splitting_check(m: int, r: int, p: int = 2, maxdim: int = 3,
     return SplittingReport(
         m=m, r=r, p=p, maxdim=maxdim,
         betti_whole=b_whole, betti_deleted=b_deleted, betti_link=b_link,
-        link_empty=link_empty, holds=holds, reverified=reverified, note=note,
+        link_empty=link_empty, holds=holds, expected=expected,
+        reverified=reverified, note=note,
     )
 
 

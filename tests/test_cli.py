@@ -172,3 +172,49 @@ def test_reports_are_deterministic(capsys):
     b = json.loads(capsys.readouterr().out)
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma-link", "--mmax", "0"],
+    ["verify", "theorem-gm2", "--mmax", "0"],
+    ["verify", "splitting", "--mmax", "1"],
+    ["verify", "kneser", "--nmax", "3"],
+    ["verify", "oracle", "--samples", "0"],
+])
+def test_suite_without_checks_exits_3(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no checks" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--n", "4", "--field", "4"],
+    ["predict", "--n", "4", "--maxdim", "2"],
+    ["predict", "--n", "4", "--budget", "5"],
+    ["verify", "kneser", "--n", "5"],
+    ["verify", "kneser", "--m", "5"],
+])
+def test_options_a_subcommand_does_not_read_exit_3(capsys, argv):
+    assert main(argv) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_budget_abort_prints_partial_counts(capsys):
+    assert main(["verify", "kneser", "--budget", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "budget exceeded" in err
+    assert "partial counts\t6\t12" in err
+
+
+def test_verify_splitting_json(capsys):
+    argv = ["verify", "splitting", "--mmax", "16", "--format", "json"]
+    assert main(argv) == 0
+    report = VerifyReport.from_json(capsys.readouterr().out)
+    assert report.passed and len(report.checks) == 15
+    assert report.checks[-1] == {
+        "name": "m=16 dims=[0, 1, 2, 3]",
+        "passed": True,
+        "computed": "(0, 0, 0, 9)",
+        "expected": "(0, 0, 0, 9)",
+    }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cuberips import (
+    SizeBudgetExceeded,
     SpaceSpec,
     betti_numbers,
     enumerate_skeleton,
@@ -17,6 +18,8 @@ from cuberips import (
     star_cluster_contractibility_check,
     survey_grid,
 )
+from cuberips.experiments import _enumerate_best_effort
+from cuberips.formulas import three_sphere_count
 
 
 def _euler(counts) -> int:
@@ -45,6 +48,48 @@ def test_splitting_at_scale_three(m):
     report = splitting_check(m, 3, maxdim=4)
     assert report.all_hold
     assert set(report.holds) == {0, 1, 2, 3, 4}
+
+
+def test_splitting_expected_is_the_right_hand_side():
+    report = splitting_check(16, 2, maxdim=3)
+    # whole[3] = deleted[3] + link[2]: 9 = 3-spheres on {0..14} + link 2-spheres
+    assert report.expected[3] == three_sphere_count(15) + link_sphere_count(15) == 9
+    assert set(report.expected) == set(report.holds)
+    for i, rhs in report.expected.items():
+        assert report.holds[i] == (report.betti_whole.reduced_betti[i] == rhs)
+
+
+def test_best_effort_takes_the_largest_cap_that_fits():
+    space = SpaceSpec.hypercube(4, 2)  # 16, 80, 160, 120, 16 simplices
+
+    def fits(cap, budget):
+        try:
+            enumerate_skeleton(space, cap, budget=budget)
+        except SizeBudgetExceeded:
+            return False
+        return True
+
+    for budget in range(1, 400):
+        def build(cap):
+            return enumerate_skeleton(space, cap, budget=budget)
+
+        # reference: try caps 4, 3, ..., 0 in turn
+        cap = next((c for c in range(4, -1, -1) if fits(c, budget)), None)
+        if cap is None:
+            with pytest.raises(SizeBudgetExceeded) as err:
+                _enumerate_best_effort(build, 4)
+            assert err.value.partial_counts == ()
+        else:
+            assert _enumerate_best_effort(build, 4).dim_cap == cap, budget
+
+
+def test_splitting_under_a_truncating_budget():
+    # the whole Q4 complex needs 392 simplices: at 380 it stops at dimension
+    # 3, so dimension 3 is undecided and left out
+    report = splitting_check(16, 2, maxdim=3, budget=380)
+    assert report.betti_whole.trusted_through == 2
+    assert report.holds == {0: True, 1: True, 2: True}
+    assert report.expected == {0: 0, 1: 0, 2: 0}
 
 
 def test_splitting_validation():
