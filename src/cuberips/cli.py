@@ -263,43 +263,46 @@ def _suite_oracle(args) -> tuple[list[dict], list[str]]:
 
 class _Suite(NamedTuple):
     run: Callable[[argparse.Namespace], tuple[list[dict], list[str]]]
-    nmax: int = 5
-    mmax: int = 64
+    options: dict  # name -> default of each flag the suite reads, but --format
 
 
 # The wedge checks are looked up by name when a suite runs, so a test can
 # substitute a failing one.
 SUITES = {
-    "table1": _Suite(_suite_table1),
+    "table1": _Suite(
+        _suite_table1,
+        {"field": 2, "maxdim": 3, "budget": None, "nmax": 5, "rmax": None},
+    ),
     "lemma-link": _Suite(
         lambda a: _wedge_suite(link_homotopy_check, "m", range(1, a.mmax + 1), a),
-        mmax=256,
+        {"field": 2, "budget": None, "mmax": 256},
     ),
-    "theorem-gm2": _Suite(_suite_theorem_gm2),
-    "splitting": _Suite(_suite_splitting),
+    "theorem-gm2": _Suite(
+        _suite_theorem_gm2, {"field": 2, "budget": None, "mmax": 64}
+    ),
+    "splitting": _Suite(
+        _suite_splitting,
+        {"r": 2, "field": 2, "maxdim": 3, "budget": None, "mmax": 64},
+    ),
     "kneser": _Suite(
         lambda a: _wedge_suite(kneser_check, "n", range(4, a.nmax + 1), a),
-        nmax=7,
+        {"field": 2, "budget": None, "nmax": 7},
     ),
-    "oracle": _Suite(_suite_oracle),
+    "oracle": _Suite(_suite_oracle, {"field": 2, "samples": 100, "seed": 0}),
 }
 
 
 def cmd_verify(args, parser) -> int:
     suite = SUITES[args.suite]
-    if args.nmax is None:
-        args.nmax = suite.nmax
-    if args.mmax is None:
-        args.mmax = suite.mmax
     t0 = time.perf_counter()
     checks, extra_lines = suite.run(args)
     if not checks:
         raise ValueError(f"suite {args.suite} has no checks to run")
     passed = all(c["passed"] for c in checks)
-    names = ("suite", "field", "maxdim", "r", "nmax", "mmax", "samples", "seed")
     report = VerifyReport(
         command="verify",
-        params={name: getattr(args, name) for name in names},
+        params={"suite": args.suite,
+                **{name: getattr(args, name) for name in suite.options}},
         suite=args.suite,
         checks=checks,
         passed=passed,
@@ -315,41 +318,41 @@ def cmd_verify(args, parser) -> int:
     return 0 if passed else 1
 
 
+_HELP = {
+    "r": "adjacency scale",
+    "n": "hypercube exponent (all 2^n strings)",
+    "m": "number of strings 0..m-1",
+    "field": "prime field characteristic",
+    "maxdim": "highest homology dimension to report",
+    "budget": "simplex-count cap (default 2^28 or $VRQ_BUDGET)",
+}
+
+
+def _add_options(sub, func, options: dict) -> None:
+    """--format plus one integer flag per entry of options (name: default)."""
+    sub.set_defaults(func=func)
+    sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    for name, default in options.items():
+        sub.add_argument(f"--{name}", type=int, default=default, help=_HELP.get(name))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cuberips",
                      description="Betti numbers of Hamming-distance flag complexes")
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
     betti = subs.add_parser("betti", help="compute reduced Betti numbers")
-    predict = subs.add_parser("predict", help="print predicted Betti numbers")
-    verify = subs.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=SUITES)
-
-    for sub, func in ((betti, cmd_betti), (predict, cmd_predict),
-                      (verify, cmd_verify)):
-        sub.set_defaults(func=func)
-        sub.add_argument("--r", type=int, default=2, help="adjacency scale")
-        sub.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    for sub in (betti, predict):
-        sub.add_argument("--n", type=int, default=None,
-                         help="hypercube exponent (all 2^n strings)")
-        sub.add_argument("--m", type=int, default=None,
-                         help="number of strings 0..m-1")
-    for sub, maxdim_default in ((betti, 4), (verify, 3)):
-        sub.add_argument("--field", type=int, default=2,
-                         help="prime field characteristic")
-        sub.add_argument("--maxdim", type=int, default=maxdim_default,
-                         help="highest homology dimension to report")
-        sub.add_argument("--budget", type=int, default=None,
-                         help="simplex-count cap (default 2^28 or $VRQ_BUDGET)")
-
+    _add_options(betti, cmd_betti, {"n": None, "m": None, "r": 2, "field": 2,
+                                    "maxdim": 4, "budget": None})
     betti.add_argument("--export-skeleton", default=None, metavar="PATH",
                        help="also write the enumerated skeleton as text")
-    verify.add_argument("--nmax", type=int, default=None)
-    verify.add_argument("--mmax", type=int, default=None)
-    verify.add_argument("--rmax", type=int, default=None)
-    verify.add_argument("--samples", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=0)
+    predict = subs.add_parser("predict", help="print predicted Betti numbers")
+    _add_options(predict, cmd_predict, {"n": None, "m": None, "r": 2})
+    verify = subs.add_parser("verify", help="run a verification suite")
+    suites = verify.add_subparsers(dest="suite", required=True,
+                                   parser_class=_Parser)
+    for name, suite in SUITES.items():
+        _add_options(suites.add_parser(name), cmd_verify, suite.options)
     return parser
 
 

@@ -118,27 +118,43 @@ class Skeleton:
 
     def has_simplex(self, sigma) -> bool:
         """Membership test for a simplex given by external labels."""
-        idx = self._indices_of(sigma)
-        k = len(idx) - 1
-        if k > self.dim_cap:
-            raise ValueError(f"dimension {k} above dim_cap {self.dim_cap}")
-        keys = self.layer_keys(k)
-        key = sum(math.comb(v, t + 1) for t, v in enumerate(idx))
-        pos = int(np.searchsorted(keys, key))
-        return pos < len(keys) and int(keys[pos]) == key
+        rank = simplex_rank(_positions(self, sorted(int(v) for v in sigma)),
+                            self.num_vertices)
+        if rank.dimension > self.dim_cap:
+            raise ValueError(
+                f"dimension {rank.dimension} above dim_cap {self.dim_cap}"
+            )
+        keys = self.layer_keys(rank.dimension)
+        pos = int(np.searchsorted(keys, rank.rank))
+        return pos < len(keys) and int(keys[pos]) == rank.rank
 
-    def _indices_of(self, sigma) -> list[int]:
-        labels = sorted(int(v) for v in sigma)
-        if not labels:
-            raise ValueError("sigma must be nonempty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("sigma has repeated vertices")
-        pos = np.searchsorted(self.verts, labels)
-        if (pos >= self.num_vertices).any() or (
-            self.verts[np.minimum(pos, self.num_vertices - 1)] != labels
-        ).any():
-            raise ValueError(f"vertices {labels} not all present in skeleton")
-        return [int(i) for i in pos]
+
+def _positions(skel: Skeleton, labels) -> np.ndarray:
+    """Vertex indices of the given labels; ValueError if one is not a vertex."""
+    if not np.isin(labels, skel.verts).all():
+        raise ValueError(f"vertices {labels} not all present in skeleton")
+    return np.searchsorted(skel.verts, labels)
+
+
+def _restrict(skel: Skeleton, keep, source) -> Skeleton:
+    """The subcomplex made of the rows that keep[k] selects in layer k.
+
+    keep[k] is a boolean mask over skel.simplices[k], and the selection must
+    be closed under faces.  Row i of layer 0 is vertex i, so keep[0] picks
+    the vertices; they are renumbered in order.  The result stops at
+    dimension len(keep) - 1.
+    """
+    renumber = np.cumsum(keep[0]) - 1
+    return Skeleton(
+        verts=skel.verts[keep[0]],
+        simplices=[
+            renumber[rows[mask]].astype(np.uint32)
+            for rows, mask in zip(skel.simplices, keep)
+        ],
+        dim_cap=len(keep) - 1,
+        complete_flag=skel.complete_flag,
+        source=source,
+    )
 
 
 def _upper_adjacency(space: SpaceSpec) -> np.ndarray:
@@ -178,17 +194,16 @@ def _next_layer(rows, cand, up, size):
     return child_rows, child_cand
 
 
-def _flag_layers(graph, dim_cap, budget=None, keep_dims=None):
+def _flag_layers(up, dim_cap, budget=None, keep_dims=None):
     """Breadth-first clique expansion over packed candidate bitsets.
 
-    graph is a SpaceSpec, or an (nv, ceil(nv/64)) little-endian uint64 array
-    whose row v has bit u set iff u > v and uv is an edge.  Returns (layers,
-    counts, complete); layers maps each dimension in keep_dims (default: all)
-    to its uint32 rows.  Each layer's size is known before it is built, so a
+    up is an (nv, ceil(nv/64)) little-endian uint64 array whose row v has
+    bit u set iff u > v and uv is an edge.  Returns (layers, counts,
+    complete); layers maps each dimension in keep_dims (default: all) to its
+    uint32 rows.  Each layer's size is known before it is built, so a
     budget overrun aborts cleanly with the counts of the finished layers.
     """
     budget = _resolve_budget(budget)
-    up = _upper_adjacency(graph) if isinstance(graph, SpaceSpec) else graph
     nv = len(up)
     keep = range(dim_cap + 1) if keep_dims is None else keep_dims
     layers = {k: np.zeros((0, k + 1), dtype=np.uint32) for k in keep}
@@ -220,7 +235,7 @@ def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
     """
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
-    layers, _, complete = _flag_layers(space, dim_cap, budget)
+    layers, _, complete = _flag_layers(_upper_adjacency(space), dim_cap, budget)
     return Skeleton(
         verts=np.arange(space.m, dtype=np.int64),
         simplices=list(layers.values()),
@@ -325,51 +340,19 @@ def skeleton_from_facets(facets, dim_cap=None, source=None) -> Skeleton:
 
 def delete_vertex(skel: Skeleton, v: int) -> Skeleton:
     """Subcomplex on all vertices except label v."""
-    pos = int(np.searchsorted(skel.verts, v))
-    if pos >= skel.num_vertices or int(skel.verts[pos]) != int(v):
-        raise ValueError(f"vertex {v} not in skeleton")
-    sims = []
-    for arr in skel.simplices:
-        if len(arr):
-            kept = arr[~(arr == pos).any(axis=1)]
-            sims.append(np.where(kept > pos, kept - 1, kept).astype(np.uint32))
-        else:
-            sims.append(arr)
-    return Skeleton(
-        verts=np.delete(skel.verts, pos),
-        simplices=sims,
-        dim_cap=skel.dim_cap,
-        complete_flag=skel.complete_flag,
-        source=("delete", skel.source, int(v)),
-    )
+    keep = np.ones(skel.num_vertices, dtype=bool)
+    keep[_positions(skel, [v])] = False
+    return _restrict(skel, [keep[rows].all(axis=1) for rows in skel.simplices],
+                     ("delete", skel.source, int(v)))
 
 
 def induced_subcomplex(skel: Skeleton, vs) -> Skeleton:
     """Subcomplex on the given set of vertex labels."""
     want = sorted({int(v) for v in vs})
-    pos = np.searchsorted(skel.verts, want)
-    if len(want) and (
-        (pos >= skel.num_vertices).any()
-        or (skel.verts[np.minimum(pos, skel.num_vertices - 1)] != want).any()
-    ):
-        raise ValueError("vs contains labels not in the skeleton")
     keep = np.zeros(skel.num_vertices, dtype=bool)
-    keep[pos] = True
-    remap = np.cumsum(keep) - 1
-    sims = []
-    for arr in skel.simplices:
-        if len(arr):
-            kept = arr[keep[arr].all(axis=1)]
-            sims.append(remap[kept].astype(np.uint32))
-        else:
-            sims.append(arr)
-    return Skeleton(
-        verts=skel.verts[keep],
-        simplices=sims,
-        dim_cap=skel.dim_cap,
-        complete_flag=skel.complete_flag,
-        source=("induced", skel.source, tuple(want)),
-    )
+    keep[_positions(skel, want)] = True
+    return _restrict(skel, [keep[rows].all(axis=1) for rows in skel.simplices],
+                     ("induced", skel.source, tuple(want)))
 
 
 def star_cluster(skel: Skeleton, sigma) -> Skeleton:
@@ -379,29 +362,17 @@ def star_cluster(skel: Skeleton, sigma) -> Skeleton:
     all its vertices are adjacent to (or equal to) v.
     """
     sigma = tuple(sorted(int(v) for v in sigma))
-    idx = skel._indices_of(sigma)
     if not skel.has_simplex(sigma):
         raise ValueError(f"sigma {sigma} is not a simplex of the skeleton")
     near = np.eye(skel.num_vertices, dtype=bool)  # closed neighbourhoods
     if skel.dim_cap >= 1:
         a, b = skel.simplices[1].T
         near[a, b] = near[b, a] = True
-    closed = near[idx]
-    keep_vertex = np.zeros(skel.num_vertices, dtype=bool)
-    kept_layers = []
-    for arr in skel.simplices:
-        kept = arr[closed[:, arr].all(axis=2).any(axis=0)]
-        kept_layers.append(kept)
-        if len(kept) and kept.shape[1] == 1:
-            keep_vertex[kept[:, 0]] = True
-    remap = np.cumsum(keep_vertex) - 1
-    sims = [remap[arr].astype(np.uint32) if len(arr) else arr for arr in kept_layers]
-    return Skeleton(
-        verts=skel.verts[keep_vertex],
-        simplices=sims,
-        dim_cap=skel.dim_cap,
-        complete_flag=skel.complete_flag,
-        source=("star_cluster", skel.source, sigma),
+    closed = near[_positions(skel, sigma)]
+    return _restrict(
+        skel,
+        [closed[:, rows].all(axis=2).any(axis=0) for rows in skel.simplices],
+        ("star_cluster", skel.source, sigma),
     )
 
 

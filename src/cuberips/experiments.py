@@ -17,6 +17,7 @@ from .complexes import (
     SizeBudgetExceeded,
     Skeleton,
     _resolve_budget,
+    _restrict,
     delete_vertex,
     enumerate_skeleton,
     kneser_independence_complex,
@@ -263,10 +264,7 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
         )
         for k in range(target_dim + 1, top + 1)
     }
-    alive = {
-        k: np.ones(counts[k], dtype=bool) for k in range(target_dim, top + 1)
-    }
-    alive_count = {k: counts[k] for k in range(target_dim, top + 1)}
+    alive = [np.ones(c, dtype=bool) for c in counts[: top + 1]]
     cof_count: dict[int, np.ndarray] = {}
     cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(target_dim, top):
@@ -313,8 +311,6 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
         )
         alive[k][trow] = False
         alive[k + 1][srow] = False
-        alive_count[k] -= 1
-        alive_count[k + 1] -= 1
         alive_above -= 1 if k == target_dim else 2
         on_death(k + 1, srow)
         on_death(k, trow)
@@ -327,35 +323,9 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     else:
         status = "stuck"
 
-    reached = -1
-    for k in range(top, -1, -1):
-        left = alive_count[k] if k >= target_dim else counts[k]
-        if left:
-            reached = k
-            break
-
-    if target_dim == 0:
-        keep0 = alive[0]
-        new_verts = skel.verts[keep0]
-        remap = np.cumsum(keep0) - 1
-    else:
-        new_verts = skel.verts
-        remap = None
-    sims = []
-    for k in range(reached + 1):
-        rows = skel.simplices[k]
-        if k >= target_dim:
-            rows = rows[alive[k]]
-        if remap is not None and len(rows):
-            rows = remap[rows.astype(np.int64)].astype(np.uint32)
-        sims.append(rows)
-    residual = Skeleton(
-        verts=new_verts,
-        simplices=sims,
-        dim_cap=max(reached, 0),
-        complete_flag=True,
-        source=("collapse", skel.source, int(target_dim)),
-    )
+    reached = max(k for k in range(top + 1) if alive[k].any())
+    residual = _restrict(skel, alive[: reached + 1],
+                         ("collapse", skel.source, int(target_dim)))
     return CollapseOutcome(
         reached_dim=reached,
         status=status,

@@ -78,6 +78,15 @@ class SpaceSpec:
         return self.m == 2**self.n
 
 
+def _flips(space: SpaceSpec) -> list[int]:
+    """XOR masks that flip 1..r of the n bit positions."""
+    return [
+        sum(1 << p for p in pos)
+        for w in range(1, min(space.r, space.n) + 1)
+        for pos in combinations(range(space.n), w)
+    ]
+
+
 def neighborhood(space: SpaceSpec, v: int) -> set[int]:
     """Vertices within distance space.r of v, excluding v itself.
 
@@ -86,28 +95,13 @@ def neighborhood(space: SpaceSpec, v: int) -> set[int]:
     """
     if not 0 <= v < space.m:
         raise ValueError(f"vertex {v} out of range for m={space.m}")
-    out = set()
-    for w in range(1, min(space.r, space.n) + 1):
-        for pos in combinations(range(space.n), w):
-            u = v
-            for p in pos:
-                u ^= 1 << p
-            if u < space.m:
-                out.add(u)
-    return out
+    return {v ^ f for f in _flips(space) if v ^ f < space.m}
 
 
 def neighbor_masks(space: SpaceSpec) -> list[int]:
     """Adjacency bitmasks: bit u of neighbor_masks(space)[v] is set iff
     0 < hamming_distance(u, v) <= r and both labels are below m."""
-    flips = [0]
-    for w in range(1, min(space.r, space.n) + 1):
-        for pos in combinations(range(space.n), w):
-            f = 0
-            for p in pos:
-                f |= 1 << p
-            flips.append(f)
-    flips = flips[1:]
+    flips = _flips(space)
     masks = []
     for v in range(space.m):
         mask = 0

@@ -32,6 +32,7 @@ from .complexes import (
     _flag_layers,
     _layer_ranks,
     _np_binom,
+    _upper_adjacency,
 )
 from .hamming import SpaceSpec
 
@@ -236,6 +237,13 @@ def _reduce_index(entries: np.ndarray, starts: np.ndarray, p: int,
     return _reduce_modp(columns(), p)
 
 
+def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
+    if rank > min(n_rows, n_cols):
+        raise RuntimeError(
+            f"rank {rank} of a {n_rows} x {n_cols} map: engine bug"
+        )
+
+
 def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     """Ranks of the boundary maps for dimensions 1..maxdim+1.
 
@@ -265,6 +273,7 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
             p,
             cleared,
         )
+        _check_rank(ranks[k + 1], *skel.counts[k : k + 2])
         cleared = set(pivot_rows)
     return ranks, top_known
 
@@ -309,11 +318,12 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
     if i < 1:
         raise ValueError("i must be >= 1 (betti_numbers covers dimension 0)")
     rows, counts, _complete = _flag_layers(
-        space, i + 1, budget, keep_dims=(i - 1, i, i + 1)
+        _upper_adjacency(space), i + 1, budget, keep_dims=(i - 1, i, i + 1)
     )
     if i >= len(counts) or counts[i] == 0:
         return 0
     nv = space.m
+    n_lo, n_hi = len(rows[i - 1]), len(rows[i + 1])
     keys_lo = _layer_ranks(rows.pop(i - 1), nv)
     keys_mid = _layer_ranks(rows[i], nv)
     r_hi, pivot_rows = _reduce_index(
@@ -323,6 +333,8 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
         *_boundary_index(_facet_row_indices(rows.pop(i), keys_lo, nv)), p,
         set(pivot_rows),
     )
+    _check_rank(r_hi, counts[i], n_hi)
+    _check_rank(r_lo, n_lo, counts[i])
     return counts[i] - r_lo - r_hi
 
 

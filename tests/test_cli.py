@@ -194,6 +194,11 @@ def test_suite_without_checks_exits_3(capsys, argv):
     ["predict", "--n", "4", "--budget", "5"],
     ["verify", "kneser", "--n", "5"],
     ["verify", "kneser", "--m", "5"],
+    ["verify", "kneser", "--r", "9"],
+    ["verify", "oracle", "--budget", "5"],
+    ["verify", "theorem-gm2", "--maxdim", "2"],
+    ["verify", "lemma-link", "--rmax", "3"],
+    ["verify", "kneser", "--samples", "0"],
 ])
 def test_options_a_subcommand_does_not_read_exit_3(capsys, argv):
     assert main(argv) == 3

@@ -20,6 +20,7 @@ from cuberips import (
     kneser_independence_complex,
     link_complex,
     neighborhood,
+    random_flag_skeleton,
     simplex_diameter,
     simplex_rank,
     simplex_unrank,
@@ -240,6 +241,55 @@ def test_induced_subcomplex_arbitrary_labels():
         induced_subcomplex(skel, [0, 99])
 
 
+def _assert_filtered(parent: Skeleton, sub: Skeleton, keep) -> None:
+    """sub holds exactly the simplices of parent whose label tuples keep
+    accepts, layer by layer in colex order, as uint32 rows."""
+    assert sub.dim_cap == parent.dim_cap
+    assert sub.complete_flag == parent.complete_flag
+    for k, rows in enumerate(parent.simplices):
+        labels = [tuple(parent.verts[row].tolist()) for row in rows]
+        expect = sorted(filter(keep, labels), key=lambda c: c[::-1])
+        got = sub.simplices[k]
+        assert got.dtype == np.uint32 and got.shape == (len(expect), k + 1)
+        assert [tuple(sub.verts[row].tolist()) for row in got] == expect
+
+
+def _random_labelled_facets(rng) -> Skeleton:
+    """Random complex on arbitrary labels, closed downward from a few facets,
+    with empty layers when dim_cap passes the top."""
+    labels = rng.choice(30, size=int(rng.integers(1, 9)), replace=False)
+    facets = [
+        rng.choice(labels, size=int(rng.integers(1, min(len(labels), 4) + 1)),
+                   replace=False)
+        for _ in range(int(rng.integers(1, 6)))
+    ]
+    if len(labels) >= 3 and rng.random() < 0.5:  # a hollow triangle: not flag
+        facets += combinations(rng.choice(labels, size=3, replace=False), 2)
+    top = max(len(f) for f in facets) - 1
+    return skeleton_from_facets(facets, dim_cap=int(rng.integers(max(top - 1, 0),
+                                                                 top + 3)))
+
+
+def test_derived_complexes_match_brute_force_filters():
+    rng = np.random.default_rng(5)
+    flag = [random_flag_skeleton(rng) for _ in range(40)]
+    for skel in flag + [_random_labelled_facets(rng) for _ in range(40)]:
+        labels = skel.verts.tolist()
+        v = labels[int(rng.integers(len(labels)))]
+        _assert_filtered(skel, delete_vertex(skel, v), lambda c: v not in c)
+        some = {u for u in labels if rng.random() < 0.5}
+        _assert_filtered(skel, induced_subcomplex(skel, some),
+                         lambda c: set(c) <= some)
+    for skel in flag:
+        edges = [tuple(skel.verts[row].tolist()) for row in skel.simplices[1]]
+        if not edges:
+            continue
+        sigma = edges[int(rng.integers(len(edges)))]
+        closed = [{u} | {w for e in edges if u in e for w in e} for u in sigma]
+        _assert_filtered(skel, star_cluster(skel, sigma),
+                         lambda c: any(set(c) <= near for near in closed))
+
+
 def test_link_is_induced_subcomplex_on_neighbors():
     space = SpaceSpec(m=12, r=2)
     skel = enumerate_skeleton(space, 3)
@@ -337,6 +387,8 @@ def test_has_simplex(q3r2):
         q3r2.has_simplex((0, 1, 2, 3, 4, 5))  # dimension above dim_cap
     with pytest.raises(ValueError):
         q3r2.has_simplex((0, 8))
+    with pytest.raises(ValueError):
+        q3r2.has_simplex((1, 1))  # repeated vertex
 
 
 def test_simplex_diameter():

@@ -275,3 +275,17 @@ def test_negative_betti_raises(monkeypatch):
     monkeypatch.setattr(homology, "_coboundary_ranks", inflated)
     with pytest.raises(RuntimeError, match="negative Betti"):
         betti_numbers(_triangle_circle())
+
+
+def test_rank_above_matrix_size_raises(monkeypatch):
+    real = homology._reduce_index
+
+    def inflated(entries, starts, p, cleared=frozenset()):
+        _, pivot_rows = real(entries, starts, p, cleared)
+        return len(starts), pivot_rows  # one more than the column count
+
+    monkeypatch.setattr(homology, "_reduce_index", inflated)
+    with pytest.raises(RuntimeError, match="rank 4 of a 3 x 3 map"):
+        betti_numbers(_triangle_circle())
+    with pytest.raises(RuntimeError, match="rank 17 of a 32 x 16 map"):
+        betti_single_dim(SpaceSpec.hypercube(3, 2), 2)
