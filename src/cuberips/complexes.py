@@ -194,19 +194,19 @@ def _next_layer(rows, cand, up, size):
     return child_rows, child_cand
 
 
-def _flag_layers(up, dim_cap, budget=None, keep_dims=None):
+def _flag_layers(up, dim_cap, budget=None):
     """Breadth-first clique expansion over packed candidate bitsets.
 
     up is an (nv, ceil(nv/64)) little-endian uint64 array whose row v has
     bit u set iff u > v and uv is an edge.  Returns (layers, counts,
-    complete); layers maps each dimension in keep_dims (default: all) to its
-    uint32 rows.  Each layer's size is known before it is built, so a
-    budget overrun aborts cleanly with the counts of the finished layers.
+    complete); layers[k] holds the uint32 rows of dimension k for every
+    k <= dim_cap (empty above the top dimension).  Each layer's size is
+    known before it is built, so a budget overrun aborts cleanly with the
+    counts of the finished layers.
     """
     budget = _resolve_budget(budget)
     nv = len(up)
-    keep = range(dim_cap + 1) if keep_dims is None else keep_dims
-    layers = {k: np.zeros((0, k + 1), dtype=np.uint32) for k in keep}
+    layers = [np.zeros((0, k + 1), dtype=np.uint32) for k in range(dim_cap + 1)]
     rows, cand = np.arange(nv, dtype=np.uint32).reshape(nv, 1), up
     counts: list[int] = []
     size = nv  # of layer k, from the popcount of layer k-1's candidates
@@ -218,8 +218,7 @@ def _flag_layers(up, dim_cap, budget=None, keep_dims=None):
         if k:
             rows, cand = _next_layer(rows, cand, up, size)
         counts.append(size)
-        if k in layers:
-            layers[k] = rows
+        layers[k] = rows
         size = int(np.bitwise_count(cand).sum())
         if size == 0:
             break
@@ -238,7 +237,7 @@ def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
     layers, _, complete = _flag_layers(_upper_adjacency(space), dim_cap, budget)
     return Skeleton(
         verts=np.arange(space.m, dtype=np.int64),
-        simplices=list(layers.values()),
+        simplices=layers,
         dim_cap=dim_cap,
         complete_flag=complete,
         source=space,
@@ -269,7 +268,7 @@ def flag_skeleton_from_graph(
     layers, _, complete = _flag_layers(up, dim_cap, budget)
     return Skeleton(
         verts=verts,
-        simplices=list(layers.values()),
+        simplices=layers,
         dim_cap=dim_cap,
         complete_flag=complete,
         source=("graph", nv) if source is None else source,

@@ -8,16 +8,18 @@ against the sorted keys of layer k-1.  The coboundary index is the CSR
 transpose of the next layer's facet rows.  No global sparse matrix is ever
 materialized, and no key arithmetic runs in Python.
 
-One function, ``_reduce_index``, turns either index into columns, leaves
-out the cleared ones and reduces left to right.  Over GF(2) a column is one
-arbitrary-precision integer bitmask (XOR is column addition); odd primes use
-small row->coefficient dicts.  An entry that drops position t carries the
-coefficient (-1)**t.
+Every Betti number comes from one upward sweep through coboundary
+columns, which have the same ranks as the boundary columns: the pivot rows
+of δ_{k-1} clear their columns of δ_k, so clearing flows from the cheap low
+dimensions upward and one pass suffices.  ``betti_single_dim`` is that sweep
+over layers 0..i+1.
 
-``betti_single_dim`` reduces boundary columns top-down: layer i+1, then
-layer i with the first reduction's pivots cleared.  ``betti_numbers`` sweeps
-upward through coboundary columns, which have the same ranks, so clearing
-flows from the cheap low dimensions upward and one pass suffices.
+One kernel, ``_reduce_index``, reduces left to right for every prime.  An
+entry that drops position t carries the coefficient (-1)**t.  A column that
+meets no existing pivot becomes one and is kept only as its column number;
+it is read into a small row->coefficient dict when a later column collides
+with it.  Most pivots are never touched, so few columns ever leave the index
+arrays.
 """
 
 from __future__ import annotations
@@ -27,16 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (
-    Skeleton,
-    _flag_layers,
-    _layer_ranks,
-    _np_binom,
-    _upper_adjacency,
-)
+from .complexes import Skeleton, _np_binom, enumerate_skeleton
 from .hamming import SpaceSpec
-
-_BLOCK = 4096  # columns converted to Python lists at a time
 
 
 def _check_prime(p: int) -> int:
@@ -102,7 +96,7 @@ def _facet_row_indices(rows: np.ndarray, keys_lo: np.ndarray, nv: int) -> np.nda
     n, width = rows.shape
     if n == 0:
         return np.zeros((0, width), dtype=np.int64)
-    table = _np_binom(nv, width + 1)
+    table = _np_binom(nv, width)
     kept = np.empty((n, width), dtype=np.int64)  # C(v_i, i+1): position kept
     down = np.empty((n, width), dtype=np.int64)  # C(v_i, i): position shifted down
     for i in range(width):
@@ -118,13 +112,6 @@ def _facet_row_indices(rows: np.ndarray, keys_lo: np.ndarray, nv: int) -> np.nda
     if (idx >= len(keys_lo)).any() or (keys_lo[idx.clip(max=len(keys_lo) - 1)] != flat).any():
         raise ValueError("skeleton is not closed under faces")
     return idx.reshape(n, width)
-
-
-def _boundary_index(facet_rows: np.ndarray):
-    """Boundary columns of a layer as (entries, starts); see _reduce_index."""
-    n, width = facet_rows.shape
-    entries = 2 * facet_rows + (np.arange(width) & 1)
-    return entries.ravel(), np.arange(0, n * width + 1, width)
 
 
 def _coboundary_index(facet_rows: np.ndarray, n_lo: int):
@@ -162,34 +149,35 @@ def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:
     )
 
 
-def _reduce_gf2(columns) -> tuple[int, list[int]]:
-    """Column reduction over GF(2); columns are row bitmasks."""
-    pivots: dict[int, int] = {}
-    order: list[int] = []
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = col
-                order.append(low)
-                break
-            col ^= other
-    return len(order), order
+def _reduce_index(entries: np.ndarray, starts: np.ndarray, p: int,
+                  cleared=()) -> tuple[int, list[int]]:
+    """Rank over GF(p) of the matrix whose column c holds the entries
+    entries[starts[c]:starts[c+1]] in ascending row order, leaving out the
+    columns in cleared.
 
+    An entry 2*row + s stands for the coefficient (-1)**s in that row.
+    Returns the rank and the pivot rows in the order they were found.
+    """
+    live = np.flatnonzero(np.diff(starts))
+    live = live[~np.isin(live, np.fromiter(cleared, dtype=np.int64))]
+    lows = entries[starts[live + 1] - 1] >> 1
 
-def _reduce_modp(columns, p: int) -> tuple[int, list[int]]:
-    """Column reduction over GF(p), odd p; columns are {row: coeff} dicts."""
-    pivots: dict[int, dict[int, int]] = {}
-    order: list[int] = []
-    for col in columns:
-        while col:
-            low = max(col)
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = col
-                order.append(low)
-                break
+    def read(c: int) -> dict[int, int]:
+        return {e >> 1: p - 1 if e & 1 else 1
+                for e in entries[starts[c] : starts[c + 1]].tolist()}
+
+    # pivots[row] is the column that owns the row: its column number while
+    # it is untouched, a {row: coeff} dict once it has been read.
+    pivots: dict[int, int | dict[int, int]] = {}
+    for c, low in zip(live.tolist(), lows.tolist()):
+        piv = pivots.get(low)
+        if piv is None:
+            pivots[low] = c
+            continue
+        col = read(c)
+        while piv is not None:
+            if not isinstance(piv, dict):
+                piv = pivots[low] = read(piv)
             f = col[low] * pow(piv[low], -1, p) % p
             for r, v in piv.items():
                 nv = (col.get(r, 0) - f * v) % p
@@ -197,44 +185,13 @@ def _reduce_modp(columns, p: int) -> tuple[int, list[int]]:
                     col[r] = nv
                 else:
                     col.pop(r, None)
-    return len(order), order
-
-
-def _reduce_index(entries: np.ndarray, starts: np.ndarray, p: int,
-                  cleared=frozenset()) -> tuple[int, list[int]]:
-    """Rank over GF(p) of the matrix whose column c holds the entries
-    entries[starts[c]:starts[c+1]], leaving out the columns in cleared.
-
-    An entry 2*row + s stands for the coefficient (-1)**s in that row.
-    Returns the rank and the pivot rows in the order they were found.
-    """
-    gf2 = p == 2
-    n = len(starts) - 1
-
-    def columns():
-        # Columns are read in blocks so that only one block at a time is
-        # ever held as Python lists.
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            block = entries[starts[lo] : starts[hi]]
-            rows = (block >> 1).tolist()
-            signs = None if gf2 else (block & 1).tolist()
-            cuts = (starts[lo : hi + 1] - starts[lo]).tolist()
-            for c in range(lo, hi):
-                if c in cleared:
-                    continue
-                a, b = cuts[c - lo], cuts[c - lo + 1]
-                if gf2:
-                    col = 0
-                    for r in rows[a:b]:
-                        col |= 1 << r
-                else:
-                    col = {r: p - 1 if s else 1 for r, s in zip(rows[a:b], signs[a:b])}
-                yield col
-
-    if gf2:
-        return _reduce_gf2(columns())
-    return _reduce_modp(columns(), p)
+            if not col:
+                break
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+    return len(pivots), list(pivots)
 
 
 def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
@@ -253,13 +210,13 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     """
     ranks = [0] * (maxdim + 2)
     top_known = True
-    cleared: set[int] = set()
+    cleared: list[int] = []
     for k in range(maxdim + 1):
         if k + 1 > skel.dim_cap:
             top_known = skel.complete_flag
             break
         if len(skel.simplices[k + 1]) == 0:
-            cleared = set()
+            cleared = []
             continue
         # No local names: the facet rows are freed once transposed, and the
         # coboundary index once reduced.
@@ -274,7 +231,7 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
             cleared,
         )
         _check_rank(ranks[k + 1], *skel.counts[k : k + 2])
-        cleared = set(pivot_rows)
+        cleared = pivot_rows
     return ranks, top_known
 
 
@@ -309,7 +266,8 @@ def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
 
 
 def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
-    """β̃_i of the flag complex of space, keeping only layers i-1, i, i+1.
+    """β̃_i of the flag complex of space, from the coboundary sweep over
+    layers 0..i+1.
 
     Exact (not provisional): the full (i+1)-layer is enumerated, so the rank
     of the map into dimension i is known.
@@ -317,25 +275,7 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
     _check_prime(p)
     if i < 1:
         raise ValueError("i must be >= 1 (betti_numbers covers dimension 0)")
-    rows, counts, _complete = _flag_layers(
-        _upper_adjacency(space), i + 1, budget, keep_dims=(i - 1, i, i + 1)
-    )
-    if i >= len(counts) or counts[i] == 0:
-        return 0
-    nv = space.m
-    n_lo, n_hi = len(rows[i - 1]), len(rows[i + 1])
-    keys_lo = _layer_ranks(rows.pop(i - 1), nv)
-    keys_mid = _layer_ranks(rows[i], nv)
-    r_hi, pivot_rows = _reduce_index(
-        *_boundary_index(_facet_row_indices(rows.pop(i + 1), keys_mid, nv)), p
-    )
-    r_lo, _ = _reduce_index(
-        *_boundary_index(_facet_row_indices(rows.pop(i), keys_lo, nv)), p,
-        set(pivot_rows),
-    )
-    _check_rank(r_hi, counts[i], n_hi)
-    _check_rank(r_lo, n_lo, counts[i])
-    return counts[i] - r_lo - r_hi
+    return betti_numbers(enumerate_skeleton(space, i + 1, budget), p, i).reduced_betti[i]
 
 
 def connected_components(skel: Skeleton) -> int:

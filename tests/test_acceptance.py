@@ -11,6 +11,7 @@ import time
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from cuberips import (
     IntegerHomologySummary,
@@ -18,6 +19,8 @@ from cuberips import (
     betti_numbers,
     betti_numbers_dense,
     betti_single_dim,
+    conjectured_four_sphere_count,
+    conjectured_seven_sphere_count,
     enumerate_skeleton,
     flag_skeleton_from_graph,
     hypercube_three_sphere_count,
@@ -208,3 +211,30 @@ def test_criterion_11_formula_identities():
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"ACCEPTANCE 11 (closed-form identities, n=3..20): PASS ({elapsed:.2f}s)")
+
+
+def test_criterion_12_scale_three_full_vector_for_the_six_cube():
+    t0 = time.perf_counter()
+    skel = enumerate_skeleton(SpaceSpec.hypercube(6, 3), 11)
+    assert skel.complete_flag
+    for p in (2, 3):
+        bv = betti_numbers(skel, p=p)
+        assert bv.reduced_betti == (0, 0, 0, 0, 11, 0, 0, 60, 0, 0, 0, 0), p
+        assert bv.trusted_through == 11
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 120.0
+    print(f"ACCEPTANCE 12 (6-cube at scale 3, GF(2) and GF(3)): PASS ({elapsed:.2f}s)")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [2, 3])
+def test_scale_three_full_vector_for_the_seven_cube(p):
+    # About 20 s and 1.4 GB per field on a 2-core x86-64 box; GF(3) is the
+    # torsion sentinel.
+    skel = enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
+    assert skel.complete_flag
+    bv = betti_numbers(skel, p=p)
+    assert bv.reduced_betti == (0, 0, 0, 0, 71, 0, 0, 280, 0, 0, 0, 0, 0, 0)
+    assert bv.reduced_betti[4] == conjectured_four_sphere_count(7)
+    assert bv.reduced_betti[7] == conjectured_seven_sphere_count(7)
+    assert bv.trusted_through == 13

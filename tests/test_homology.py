@@ -22,6 +22,7 @@ from cuberips import (
     gf_rank,
     kneser_independence_complex,
     random_flag_skeleton,
+    simplex_rank,
     skeleton_from_facets,
     three_sphere_count,
 )
@@ -89,6 +90,74 @@ def test_face_closure_is_checked():
     )
     with pytest.raises(ValueError):
         boundary_matrix(doctored, 2)
+
+
+def test_facet_rows_of_a_fourteen_vertex_layer_at_128_vertices():
+    # Layer 13 of Q7 at scale 3: every rank key fits in 63 bits, though
+    # C(128, 15) does not.
+    row = tuple(range(114, 128))
+    faces = [row[:t] + row[t + 1 :] for t in range(len(row))]
+    ranks = [simplex_rank(face, 128).rank for face in faces]
+    keys_lo = np.array(sorted(ranks), dtype=np.int64)
+    got = homology._facet_row_indices(np.array([row], dtype=np.uint32), keys_lo, 128)
+    assert got.tolist() == [[sorted(ranks).index(k) for k in ranks]]
+
+
+def _random_index(rng, n_rows, n_cols, p):
+    """A random sparse matrix as (entries, starts) and as a dense array."""
+    dense = np.zeros((n_rows, n_cols), dtype=np.int64)
+    entries, starts = [], [0]
+    for c in range(n_cols):
+        size = int(rng.integers(0, min(n_rows, 3) + 1))
+        rows = np.sort(rng.choice(n_rows, size=size, replace=False))
+        signs = rng.integers(0, 2, size=size)
+        entries += (2 * rows + signs).tolist()
+        starts.append(len(entries))
+        dense[rows, c] = np.where(signs, p - 1, 1)
+    return np.array(entries, dtype=np.int64), np.array(starts, dtype=np.int64), dense
+
+
+def _check_reduction(entries, starts, p, dense, cleared=()):
+    # Every left-to-right reduction ends with the same lowest rows: row i is
+    # one exactly when the rows from i down have a larger rank than those
+    # from i+1 down.
+    rank, pivot_rows = homology._reduce_index(entries, starts, p, cleared)
+    assert rank == gf_rank(dense, p) == len(pivot_rows)
+    assert set(pivot_rows) == {
+        i for i in range(len(dense)) if gf_rank(dense[i:], p) > gf_rank(dense[i + 1 :], p)
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduce_index_matches_dense_rank(p):
+    # Few rows and many columns: most columns collide with a pivot.
+    rng = np.random.default_rng(40 + p)
+    for _ in range(40):
+        n_rows = int(rng.integers(1, 17))
+        entries, starts, dense = _random_index(rng, n_rows, int(rng.integers(1, 50)), p)
+        _check_reduction(entries, starts, p, dense)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduce_index_skips_cleared_columns(p):
+    # Each cleared column is the sum of two earlier columns with disjoint
+    # rows, so leaving it out keeps the rank and the lowest rows.
+    rng = np.random.default_rng(50 + p)
+    for _ in range(30):
+        entries, starts, dense = _random_index(rng, 16, 24, p)
+        cols = [entries[starts[c] : starts[c + 1]] for c in range(24)]
+        cleared = []
+        for _ in range(12):
+            a, b = rng.choice(len(cols), size=2, replace=False)
+            if set(cols[a] >> 1) & set(cols[b] >> 1):
+                continue
+            cleared.append(len(cols))
+            cols.append(np.sort(np.concatenate([cols[a], cols[b]])))
+            dense = np.column_stack([dense, dense[:, a] + dense[:, b]])
+        entries = np.concatenate(cols)
+        starts = np.concatenate([[0], np.cumsum([len(col) for col in cols])])
+        _check_reduction(entries, starts, p, dense)
+        _check_reduction(entries, starts, p, dense, cleared)
 
 
 def test_betti_known_small_complexes():
@@ -287,5 +356,5 @@ def test_rank_above_matrix_size_raises(monkeypatch):
     monkeypatch.setattr(homology, "_reduce_index", inflated)
     with pytest.raises(RuntimeError, match="rank 4 of a 3 x 3 map"):
         betti_numbers(_triangle_circle())
-    with pytest.raises(RuntimeError, match="rank 17 of a 32 x 16 map"):
+    with pytest.raises(RuntimeError, match="rank 9 of a 8 x 24 map"):
         betti_single_dim(SpaceSpec.hypercube(3, 2), 2)
