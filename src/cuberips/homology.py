@@ -3,9 +3,11 @@
 Every boundary computation starts from one index array per layer: row j of
 ``_facet_row_indices`` holds, for each vertex position t of the j-th
 k-simplex, the row in layer k-1 of the facet that drops position t.  NumPy
-computes it from combinatorial-number-system ranks and one searchsorted
-against the sorted keys of layer k-1.  The coboundary index is the CSR
-transpose of the next layer's facet rows.  No global sparse matrix is ever
+builds it one position at a time: one vector of combinatorial-number-system
+facet keys, updated by two table gathers per position, and one searchsorted
+of it against the sorted keys of layer k-1.  The coboundary index is the CSR
+transpose of the next layer's facet rows, made by one in-place sort of
+packed (facet row, coface, sign) keys.  No global sparse matrix is ever
 materialized, and no key arithmetic runs in Python.
 
 Every Betti number comes from one upward sweep through coboundary
@@ -92,26 +94,29 @@ def _facet_row_indices(rows: np.ndarray, keys_lo: np.ndarray, nv: int) -> np.nda
     sorted rank keys keys_lo of layer k-1, of the facet of rows[j] that drops
     vertex position t.  Raises ValueError when a facet is missing.
     """
-    rows = rows.astype(np.int64)
     n, width = rows.shape
+    out = np.empty((n, width), dtype=np.int64)
     if n == 0:
-        return np.zeros((0, width), dtype=np.int64)
-    table = _np_binom(nv, width)
-    kept = np.empty((n, width), dtype=np.int64)  # C(v_i, i+1): position kept
-    down = np.empty((n, width), dtype=np.int64)  # C(v_i, i): position shifted down
-    for i in range(width):
-        kept[:, i] = table[rows[:, i], i + 1]
-        down[:, i] = table[rows[:, i], i]
-    pre = np.zeros((n, width + 1), dtype=np.int64)
-    np.cumsum(kept, axis=1, out=pre[:, 1:])
-    suf = np.zeros((n, width + 1), dtype=np.int64)
-    suf[:, :width] = down[:, ::-1].cumsum(axis=1)[:, ::-1]
-    facet_keys = pre[:, :width] + suf[:, 1:]
-    flat = facet_keys.ravel()
-    idx = np.searchsorted(keys_lo, flat)
-    if (idx >= len(keys_lo)).any() or (keys_lo[idx.clip(max=len(keys_lo) - 1)] != flat).any():
+        return out
+    if len(keys_lo) == 0:
         raise ValueError("skeleton is not closed under faces")
-    return idx.reshape(n, width)
+    table = _np_binom(nv, width)
+    # The facet that drops the top position keeps every other vertex in
+    # place: its key is sum_{i < width-1} C(v_i, i+1).
+    key = np.zeros(n, dtype=np.int64)
+    for i in range(width - 1):
+        key += table[rows[:, i], i + 1]
+    for t in range(width - 1, -1, -1):
+        if t < width - 1:
+            # Dropping t instead of t+1 puts v_{t+1} in slot t, where v_t was.
+            key += table[rows[:, t + 1], t + 1]
+            key -= table[rows[:, t], t + 1]
+        idx = np.searchsorted(keys_lo, key)
+        np.minimum(idx, len(keys_lo) - 1, out=idx)
+        if (keys_lo[idx] != key).any():
+            raise ValueError("skeleton is not closed under faces")
+        out[:, t] = idx
+    return out
 
 
 def _coboundary_index(facet_rows: np.ndarray, n_lo: int):
@@ -119,18 +124,25 @@ def _coboundary_index(facet_rows: np.ndarray, n_lo: int):
 
     The CSR transpose of the facet rows of layer k+1: column c lists, in
     ascending order, the cofaces of the c-th k-simplex, each with the sign
-    of the facet-row column t it came from.
+    of the facet-row column t it came from.  One in-place sort of the
+    packed keys facet_row << shift | j << 1 | (t & 1) does the transpose;
+    the keys are distinct, because a coface meets each of its facets once.
     """
-    width = facet_rows.shape[1]
-    flat = facet_rows.ravel()
-    order = np.argsort(flat, kind="stable")
+    n, width = facet_rows.shape
+    shift = (2 * n).bit_length()
+    if (n_lo - 1) << shift >= 1 << 63:
+        raise OverflowError(
+            f"coboundary keys of {n_lo} rows and {n} cofaces exceed 63 bits"
+        )
     starts = np.zeros(n_lo + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=n_lo), out=starts[1:])
-    sign = order % width & 1
-    order //= width
-    order <<= 1
-    order |= sign
-    return order, starts
+    np.cumsum(np.bincount(facet_rows.ravel(), minlength=n_lo), out=starts[1:])
+    keys = facet_rows << shift
+    keys |= (np.arange(n, dtype=np.int64) << 1)[:, None]
+    keys[:, 1::2] |= 1
+    keys = keys.ravel()
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return keys, starts
 
 
 def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:

@@ -90,6 +90,10 @@ def test_face_closure_is_checked():
     )
     with pytest.raises(ValueError):
         boundary_matrix(doctored, 2)
+    with pytest.raises(ValueError, match="skeleton is not closed under faces"):
+        homology._facet_row_indices(
+            np.array([[0, 1]], dtype=np.uint32), np.zeros(0, dtype=np.int64), 2
+        )
 
 
 def test_facet_rows_of_a_fourteen_vertex_layer_at_128_vertices():
@@ -101,6 +105,25 @@ def test_facet_rows_of_a_fourteen_vertex_layer_at_128_vertices():
     keys_lo = np.array(sorted(ranks), dtype=np.int64)
     got = homology._facet_row_indices(np.array([row], dtype=np.uint32), keys_lo, 128)
     assert got.tolist() == [[sorted(ranks).index(k) for k in ranks]]
+
+
+@pytest.mark.parametrize("t", range(5))
+def test_missing_facet_is_found_at_every_position(t):
+    # Only the facet that drops position t is missing, so a check that skips
+    # that position passes.  t = 0 drops the largest key, t = 4 the smallest.
+    row = (1, 4, 6, 9, 12)
+    faces = [row[:s] + row[s + 1 :] for s in range(len(row)) if s != t]
+    keys_lo = np.array(sorted(simplex_rank(f, 16).rank for f in faces), dtype=np.int64)
+    with pytest.raises(ValueError, match="skeleton is not closed under faces"):
+        homology._facet_row_indices(np.array([row], dtype=np.uint32), keys_lo, 16)
+
+
+def test_coboundary_keys_beyond_63_bits_raise_before_allocating():
+    # One coface needs 2 low bits, so 2**62 rows below leave no room; starts
+    # alone would take 32 EiB if the guard came after it.
+    n_lo = 1 << 62
+    with pytest.raises(OverflowError, match=f"{n_lo} rows and 1 cofaces"):
+        homology._coboundary_index(np.zeros((1, 2), dtype=np.int64), n_lo)
 
 
 def _random_index(rng, n_rows, n_cols, p):
@@ -319,6 +342,51 @@ def test_sparse_matches_dense_on_random_complexes(p):
         dense = betti_numbers_dense(skel, p=p)
         assert sparse.reduced_betti == dense.reduced_betti
         assert sparse.trusted_through == dense.trusted_through
+
+
+def _facet_rows_reference(skel: Skeleton, k: int) -> list[list[int]]:
+    """Row in layer k-1 of each facet, by simplex_rank and a list lookup."""
+    keys = skel.layer_keys(k - 1).tolist()
+    return [
+        [keys.index(simplex_rank(row[:t] + row[t + 1 :], skel.num_vertices).rank)
+         for t in range(k + 1)]
+        for row in skel.simplices[k].tolist()
+    ]
+
+
+def _coboundary_reference(facet_rows: np.ndarray, n_lo: int):
+    """The CSR transpose by a stable argsort of the flat facet rows."""
+    width = facet_rows.shape[1]
+    flat = facet_rows.ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.zeros(n_lo + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_lo), out=starts[1:])
+    return order // width << 1 | order % width & 1, starts
+
+
+def test_index_matches_slow_references():
+    rng = np.random.default_rng(17)
+    skeletons = [random_flag_skeleton(rng) for _ in range(30)]
+    skeletons += [_random_facet_skeleton(rng) for _ in range(30)]
+    not_flag = empty = one_row = 0
+    for skel in skeletons:
+        edges = skel.simplices[1].tolist() if skel.dim_cap >= 1 else []
+        flag = flag_skeleton_from_graph(range(skel.num_vertices), edges, skel.dim_cap)
+        not_flag += flag.counts != skel.counts
+        for k in range(1, skel.dim_cap + 1):
+            n, n_lo = skel.counts[k], skel.counts[k - 1]
+            empty += n == 0
+            one_row += n == 1
+            rows = homology._facet_row_indices(
+                skel.simplices[k], skel.layer_keys(k - 1), skel.num_vertices
+            )
+            assert rows.dtype == np.int64 and rows.shape == (n, k + 1)
+            assert rows.tolist() == _facet_rows_reference(skel, k)
+            got = homology._coboundary_index(rows, n_lo)
+            for a, b in zip(got, _coboundary_reference(rows, n_lo)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert (a == b).all()
+    assert min(not_flag, empty, one_row) > 0
 
 
 def test_relabelling_does_not_change_betti(q4r2):
