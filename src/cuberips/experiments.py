@@ -268,7 +268,8 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     cof_count: dict[int, np.ndarray] = {}
     cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(target_dim, top):
-        entries, starts = _coboundary_index(facet_rows[k + 1], counts[k])
+        # The transpose consumes its argument, and on_death reads the rows.
+        entries, starts = _coboundary_index(facet_rows[k + 1].copy(), counts[k])
         cof_count[k] = np.diff(starts)
         cofaces[k] = (entries >> 1, starts)
     heaps = {

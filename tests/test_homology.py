@@ -120,10 +120,13 @@ def test_missing_facet_is_found_at_every_position(t):
 
 def test_coboundary_keys_beyond_63_bits_raise_before_allocating():
     # One coface needs 2 low bits, so 2**62 rows below leave no room; starts
-    # alone would take 32 EiB if the guard came after it.
+    # alone would take 32 EiB if the guard came after it.  The keys are
+    # packed in the facet rows, so they must be untouched too.
     n_lo = 1 << 62
+    facet_rows = np.array([[0, 1]], dtype=np.int64)
     with pytest.raises(OverflowError, match=f"{n_lo} rows and 1 cofaces"):
-        homology._coboundary_index(np.zeros((1, 2), dtype=np.int64), n_lo)
+        homology._coboundary_index(facet_rows, n_lo)
+    assert facet_rows.tolist() == [[0, 1]]
 
 
 def _random_index(rng, n_rows, n_cols, p):
@@ -141,14 +144,17 @@ def _random_index(rng, n_rows, n_cols, p):
 
 
 def _check_reduction(entries, starts, p, dense, cleared=()):
-    # Every left-to-right reduction ends with the same lowest rows: row i is
-    # one exactly when the rows from i down have a larger rank than those
-    # from i+1 down.
-    rank, pivot_rows = homology._reduce_index(entries, starts, p, cleared)
-    assert rank == gf_rank(dense, p) == len(pivot_rows)
-    assert set(pivot_rows) == {
-        i for i in range(len(dense)) if gf_rank(dense[i:], p) > gf_rank(dense[i + 1 :], p)
-    }
+    # Every reduction that takes lowest rows as pivots ends with the same
+    # ones, in any column order: row i is one exactly when rows 0..i have a
+    # larger rank than rows 0..i-1.
+    pivot_rows = homology._reduce_index(
+        entries, starts, len(dense), p, np.array(cleared, dtype=np.int64)
+    )
+    assert pivot_rows.dtype == np.int64
+    assert len(pivot_rows) == gf_rank(dense, p)
+    assert pivot_rows.tolist() == [
+        i for i in range(len(dense)) if gf_rank(dense[: i + 1], p) > gf_rank(dense[:i], p)
+    ]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -159,6 +165,18 @@ def test_reduce_index_matches_dense_rank(p):
         n_rows = int(rng.integers(1, 17))
         entries, starts, dense = _random_index(rng, n_rows, int(rng.integers(1, 50)), p)
         _check_reduction(entries, starts, p, dense)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reduce_index_reduces_onto_a_later_owner(p):
+    # Walking from the last column, {1, 3} owns row 1 and {2, 5} row 2.
+    # {1, 2} collides at row 1, becomes {2, 3} and collides at row 2 with
+    # {2, 5}, a column the walk has not reached; {3, 5} then settles at 3.
+    columns = [[2, 5], [1, 2], [1, 3]]
+    entries = np.array([2 * r for col in columns for r in col], dtype=np.int64)
+    starts = np.array([0, 2, 4, 6], dtype=np.int64)
+    got = homology._reduce_index(entries, starts, 6, p, np.zeros(0, dtype=np.int64))
+    assert got.tolist() == [1, 2, 3]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -264,6 +282,48 @@ def test_connected_components():
     assert connected_components(enumerate_skeleton(SpaceSpec(m=8, r=1), 1)) == 1
     two = flag_skeleton_from_graph(range(4), [(0, 1), (2, 3)], 1)
     assert connected_components(two) == 2
+
+
+def _joining_edges(skel: Skeleton) -> list[int]:
+    """Indices of the edges that join two components, in one ascending
+    union-find pass over the edge layer."""
+    parent = list(range(skel.num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    joins = []
+    for j, (a, b) in enumerate(skel.simplices[1].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            joins.append(j)
+    return joins
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_vertex_coboundary_pivots_are_the_joining_edges(p):
+    rng = np.random.default_rng(70 + p)
+    skeletons = []
+    for _ in range(140):
+        nv = int(rng.integers(1, 41))
+        density = rng.uniform(0.0, 0.3)
+        edges = [e for e in combinations(range(nv), 2) if rng.random() < density]
+        skeletons.append(flag_skeleton_from_graph(range(nv), edges, 1))
+    skeletons += [enumerate_skeleton(SpaceSpec(m=m, r=2), 1) for m in range(2, 129)]
+    for skel in skeletons:
+        n_vertices, n_edges = skel.counts[:2]
+        facet_rows = homology._facet_row_indices(
+            skel.simplices[1], skel.layer_keys(0), n_vertices
+        )
+        pivot_rows = homology._reduce_index(
+            *homology._coboundary_index(facet_rows, n_vertices),
+            n_edges, p, np.zeros(0, dtype=np.int64),
+        )
+        assert pivot_rows.tolist() == _joining_edges(skel)
+        assert len(pivot_rows) == n_vertices - connected_components(skel)
 
 
 def test_betti_zero_counts_components():
@@ -382,8 +442,9 @@ def test_index_matches_slow_references():
             )
             assert rows.dtype == np.int64 and rows.shape == (n, k + 1)
             assert rows.tolist() == _facet_rows_reference(skel, k)
+            reference = rows.copy()  # the transpose packs its keys in rows
             got = homology._coboundary_index(rows, n_lo)
-            for a, b in zip(got, _coboundary_reference(rows, n_lo)):
+            for a, b in zip(got, _coboundary_reference(reference, n_lo)):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert (a == b).all()
     assert min(not_flag, empty, one_row) > 0
@@ -417,9 +478,10 @@ def test_negative_betti_raises(monkeypatch):
 def test_rank_above_matrix_size_raises(monkeypatch):
     real = homology._reduce_index
 
-    def inflated(entries, starts, p, cleared=frozenset()):
-        _, pivot_rows = real(entries, starts, p, cleared)
-        return len(starts), pivot_rows  # one more than the column count
+    def inflated(entries, starts, n_rows, p, cleared):
+        pivot_rows = real(entries, starts, n_rows, p, cleared)
+        # one more than the column count
+        return np.pad(pivot_rows, (0, len(starts) - len(pivot_rows)))
 
     monkeypatch.setattr(homology, "_reduce_index", inflated)
     with pytest.raises(RuntimeError, match="rank 4 of a 3 x 3 map"):
