@@ -86,6 +86,8 @@ class Skeleton:
     true when dim_cap is at least the top dimension of the full complex, i.e.
     nothing was truncated away.  ``source`` describes provenance: a SpaceSpec
     for metric enumerations, or a tuple tag for derived complexes.
+    ``_closed`` marks a skeleton built closed under faces, which homology
+    then need not check; a skeleton built by hand is unmarked.
     """
 
     verts: np.ndarray
@@ -94,6 +96,7 @@ class Skeleton:
     complete_flag: bool
     source: object = None
     _keys: dict = field(default_factory=dict, init=False, repr=False)
+    _closed: bool = field(default=False, init=False, repr=False)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -145,7 +148,7 @@ def _restrict(skel: Skeleton, keep, source) -> Skeleton:
     dimension len(keep) - 1.
     """
     renumber = np.cumsum(keep[0]) - 1
-    return Skeleton(
+    out = Skeleton(
         verts=skel.verts[keep[0]],
         simplices=[
             renumber[rows[mask]].astype(np.uint32)
@@ -155,6 +158,8 @@ def _restrict(skel: Skeleton, keep, source) -> Skeleton:
         complete_flag=skel.complete_flag,
         source=source,
     )
+    out._closed = skel._closed
+    return out
 
 
 def _upper_adjacency(space: SpaceSpec) -> np.ndarray:
@@ -235,13 +240,15 @@ def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
     layers, _, complete = _flag_layers(_upper_adjacency(space), dim_cap, budget)
-    return Skeleton(
+    skel = Skeleton(
         verts=np.arange(space.m, dtype=np.int64),
         simplices=layers,
         dim_cap=dim_cap,
         complete_flag=complete,
         source=space,
     )
+    skel._closed = True
+    return skel
 
 
 def flag_skeleton_from_graph(
@@ -266,13 +273,15 @@ def flag_skeleton_from_graph(
         upper[ia, ib] = True
     up = np.packbits(upper, axis=1, bitorder="little").view("<u8")
     layers, _, complete = _flag_layers(up, dim_cap, budget)
-    return Skeleton(
+    skel = Skeleton(
         verts=verts,
         simplices=layers,
         dim_cap=dim_cap,
         complete_flag=complete,
         source=("graph", nv) if source is None else source,
     )
+    skel._closed = True
+    return skel
 
 
 def link_complex(space: SpaceSpec, v: int, dim_cap: int, budget=None) -> Skeleton:
@@ -328,13 +337,15 @@ def skeleton_from_facets(facets, dim_cap=None, source=None) -> Skeleton:
         .reshape(-1, k + 1)
         for k, faces in enumerate(by_dim)
     ]
-    return Skeleton(
+    skel = Skeleton(
         verts=np.asarray(verts, dtype=np.int64),
         simplices=sims,
         dim_cap=dim_cap,
         complete_flag=dim_cap >= top,
         source=source or ("facets", len(facets)),
     )
+    skel._closed = True
+    return skel
 
 
 def delete_vertex(skel: Skeleton, v: int) -> Skeleton:

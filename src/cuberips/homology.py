@@ -1,30 +1,39 @@
 """Reduced simplicial homology over prime fields.
 
-Every boundary computation starts from one index array per layer: row j of
-``_facet_row_indices`` holds, for each vertex position t of the j-th
-k-simplex, the row in layer k-1 of the facet that drops position t.  NumPy
-builds it one position at a time: one vector of combinatorial-number-system
-facet keys, updated by two table gathers per position, and one searchsorted
-of it against the sorted keys of layer k-1.  The coboundary index is the CSR
-transpose of the next layer's facet rows, made by one in-place sort of
-packed (facet row, coface, sign) keys.  No global sparse matrix is ever
-materialized, and no key arithmetic runs in Python.
-
 Every Betti number comes from one upward sweep through coboundary
 columns, which have the same ranks as the boundary columns: the pivot rows
 of δ_{k-1} clear their columns of δ_k, so clearing flows from the cheap low
 dimensions upward and one pass suffices.  ``betti_single_dim`` is that sweep
 over layers 0..i+1.
 
-One kernel, ``_reduce_index``, reduces every map for every prime.  An entry
-that drops position t carries the coefficient (-1)**t.  It walks the
-columns from last to first and takes each column's lowest row as its
+The sweep builds no coboundary above δ_0.  In colex order the cofaces of a
+k-simplex s are s + v for the common neighbours v of its vertices, and
+their rows rise with v, so the lowest row of column s is s plus its
+smallest common neighbour: one AND of packed adjacency bitsets, one
+combinatorial-number-system key and one searchsorted against the sorted
+keys of layer k+1 (``_lowest_cofaces``).  A full column is enumerated the
+same way, in Python, only when the kernel reads it.  An entry whose new
+vertex lands in slot t carries the coefficient (-1)**t.  δ_0 stays an
+explicit CSR index, because the reduction reads every one of its columns:
+the edge rows are their own facet rows, and ``_coboundary_index`` makes the
+transpose by one in-place sort of packed (facet row, coface, sign) keys.
+
+The cofaces come from the graph, so the sweep trusts the skeleton to be
+closed under faces.  The constructors that guarantee it mark the skeleton;
+on an unmarked one ``betti_numbers`` first runs ``_facet_row_indices``,
+which finds, by one searchsorted per vertex position, the row in layer k-1
+of every facet of layer k and raises when one is missing.  Boundary
+matrices, the integer SNF and the collapse probe use those facet rows too.
+
+One kernel, ``_reduce_index``, reduces every map for every prime.  It walks
+the columns from last to first and takes each column's lowest row as its
 pivot: the order of persistent cohomology over the colex filtration, in
 which the rows a prefix {0..m-1} spans come first.  NumPy gives each row to
 the first column in that order whose lowest row it is; only the remaining,
 colliding columns are reduced in Python, each read into a row->coefficient
 dict together with the pivots it meets.  The set of pivot rows depends
 only on the column space, so neither the order nor clearing changes it.
+Each reduced map writes one debug line to the "cuberips" logger.
 """
 
 from __future__ import annotations
@@ -35,8 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Skeleton, _np_binom, enumerate_skeleton
+from .complexes import Skeleton, _layer_ranks, _np_binom, enumerate_skeleton
 from .hamming import SpaceSpec
+
+# Columns per block in _lowest_cofaces: 2**16 keeps its temporaries at a
+# few MB on any layer.
+_BLOCK = 1 << 16
 
 
 def _check_prime(p: int) -> int:
@@ -168,22 +181,22 @@ def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:
     )
 
 
-def _reduce_index(entries: np.ndarray, starts: np.ndarray, n_rows: int, p: int,
-                  cleared: np.ndarray) -> np.ndarray:
+def _reduce_index(low: np.ndarray, read, n_rows: int, p: int,
+                  stats: dict | None = None) -> np.ndarray:
     """Sorted int64 pivot rows over GF(p) of the n_rows-row matrix whose
-    column c holds the entries entries[starts[c]:starts[c+1]] in ascending
-    row order, leaving out the columns in cleared.  The rank is the number
-    of rows returned.
+    column c has lowest row low[c] (-1 for an empty or cleared column, which
+    is left out) and reads in full as read(c), a {row: coeff} dict with its
+    rows in ascending order.  The rank is the number of rows returned.
 
-    An entry 2*row + s stands for the coefficient (-1)**s in that row.  The
-    live columns are walked from last to first, and a column's pivot is its
-    lowest row, its first entry.  owner[row] is the column that holds the
-    row: np.unique gives it to the first column in the walk with that
-    lowest row, and such a column is never read unless another collides
-    with it.  Every other column is reduced in Python against the owner of
-    its lowest row, which may come later in the walk, until it is zero or
-    its lowest row has no owner, which it then takes.  A lazy min-heap of
-    its rows gives its lowest row.
+    The live columns are walked from last to first, and a column's pivot is
+    its lowest row.  owner[row] is the column that holds the row: np.unique
+    gives it to the first column in the walk with that lowest row, and such
+    a column is never read unless another collides with it.  Every other
+    column is reduced in Python against the owner of its lowest row, which
+    may come later in the walk, until it is zero or its lowest row has no
+    owner, which it then takes.  A lazy min-heap of its rows gives its
+    lowest row.  When stats is a dict, the columns settled by np.unique, the
+    columns read and the column additions are stored in it.
 
     Row i is a pivot exactly when rows 0..i have a larger rank than rows
     0..i-1, so the returned rows depend only on the column space, not on the
@@ -191,29 +204,27 @@ def _reduce_index(entries: np.ndarray, starts: np.ndarray, n_rows: int, p: int,
     any order: the previous map's reduced column with lowest row c is a
     cocycle, so column c here is a combination of the columns after it.
     """
-    keep = np.diff(starts) > 0
-    keep[cleared] = False
-    order = np.flatnonzero(keep)[::-1]
-    lows, first = np.unique(entries[starts[order]] >> 1, return_index=True)
+    order = np.flatnonzero(low >= 0)[::-1]
+    lows, first = np.unique(low[order], return_index=True)
     owner = np.full(n_rows, -1, dtype=np.int64)
     owner[lows] = order[first]
-
-    def read(c: int) -> dict[int, int]:
-        return {e >> 1: p - 1 if e & 1 else 1
-                for e in entries[starts[c] : starts[c + 1]].tolist()}
 
     # held[row] is the owner of row as a {row: coeff} dict: an untouched
     # column once a collision has read it, or a reduced column.
     held: dict[int, dict[int, int]] = {}
-    for c in np.delete(order, first).tolist():
+    colliding = np.delete(order, first).tolist()
+    reads, additions = len(colliding), 0
+    for c in colliding:
         col = read(c)
         heap = list(col)  # ascending, so already a min-heap
-        low = heap[0]
+        lo = heap[0]
         while True:
-            piv = held.get(low)
+            piv = held.get(lo)
             if piv is None:
-                piv = held[low] = read(int(owner[low]))
-            f = col[low] * pow(piv[low], -1, p) % p
+                piv = held[lo] = read(int(owner[lo]))
+                reads += 1
+            additions += 1
+            f = col[lo] * pow(piv[lo], -1, p) % p
             for r, v in piv.items():
                 nv = (col.get(r, 0) - f * v) % p
                 if not nv:
@@ -226,12 +237,169 @@ def _reduce_index(entries: np.ndarray, starts: np.ndarray, n_rows: int, p: int,
                 heapq.heappop(heap)
             if not heap:
                 break
-            low = heap[0]
-            if owner[low] < 0:
-                owner[low] = c
-                held[low] = col
+            lo = heap[0]
+            if owner[lo] < 0:
+                owner[lo] = c
+                held[lo] = col
                 break
+    if stats is not None:
+        stats.update(settled=len(first), read=reads, additions=additions)
     return np.flatnonzero(owner >= 0)
+
+
+def _csr_columns(entries: np.ndarray, starts: np.ndarray, p: int, cleared: np.ndarray):
+    """(low, read) of the columns entries[starts[c]:starts[c+1]], leaving
+    out the columns in cleared.  An entry 2*row + s, in ascending row order,
+    stands for the coefficient (-1)**s in that row."""
+    low = np.full(len(starts) - 1, -1, dtype=np.int64)
+    full = np.flatnonzero(np.diff(starts) > 0)
+    low[full] = entries[starts[full]] >> 1
+    low[cleared] = -1
+
+    def read(c: int) -> dict[int, int]:
+        return {e >> 1: p - 1 if e & 1 else 1
+                for e in entries[starts[c] : starts[c + 1]].tolist()}
+
+    return low, read
+
+
+def _adjacency(edges: np.ndarray, nv: int) -> np.ndarray:
+    """The graph of an edge layer, as an (nv, ceil(nv/64)) little-endian
+    uint64 array whose row v has bit u set iff uv is an edge."""
+    words = -(-nv // 64)
+    adj = np.zeros(nv * words, dtype=np.uint64)
+    a, b = edges.astype(np.int64).T
+    for x, y in ((a, b), (b, a)):
+        np.bitwise_or.at(adj, x * words + (y >> 6),
+                         np.left_shift(np.uint64(1), (y & 63).astype(np.uint64)))
+    return adj.reshape(nv, words)
+
+
+def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
+                    table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row in the layer above, with sorted rank keys keys_hi, of the lowest
+    coface of each simplex rows[c] for c in cols; -1 for the other columns
+    and for a simplex with no coface.
+
+    The cofaces of s = (s_0 < ... < s_k) are s + v for common neighbours v
+    of its vertices, and their rows rise with v, so the lowest one adds the
+    smallest v whose key is a row.  With t = #{s_i < v} that key is
+    C(v, t+1) + sum_i C(s_i, i+1+[s_i > v]).  Only a complex that is not
+    flag misses a key; its v is dropped and the next one tried.  The common
+    neighbours are ANDed one 64-bit word at a time, and a simplex goes on
+    to the next word only when it has no coface in this one.  Columns go in
+    blocks of _BLOCK, so the temporaries stay small on any layer.
+    """
+    low = np.full(len(rows), -1, dtype=np.int64)
+    width = rows.shape[1]
+    flat, stride = table.ravel(), table.shape[1]
+    last = len(keys_hi) - 1
+    # np.take(..., axis=0) gathers rows several times faster than indexing.
+    for start in range(0, len(cols), _BLOCK):
+        block = cols[start : start + _BLOCK]
+        simplex = np.take(rows, block, axis=0).astype(np.int64)
+        pending = np.arange(len(block))  # block positions with no coface yet
+        for w, word in enumerate(adj.T):
+            if not len(pending):
+                break
+            s = np.take(simplex, pending, axis=0)
+            bits = word[s[:, 0]]
+            for i in range(1, width):
+                bits &= word[s[:, i]]
+            some = np.flatnonzero(bits)
+            later = [pending[bits == 0]]
+            at, s, bits = pending[some], np.take(s, some, axis=0), bits[some]
+            while len(at):
+                one = bits & (~bits + 1)  # the lowest set bit
+                v = 64 * w + np.bitwise_count(one - 1).astype(np.int64)
+                slot = np.full(len(at), width + 1)  # t + 1
+                key = np.zeros(len(at), dtype=np.int64)
+                for i in range(width):
+                    above = s[:, i] > v
+                    slot -= above
+                    key += flat[s[:, i] * stride + (i + 1) + above]
+                key += flat[v * stride + slot]
+                idx = np.minimum(np.searchsorted(keys_hi, key), last)
+                hit = keys_hi[idx] == key
+                low[block[at[hit]]] = idx[hit]
+                bits ^= one
+                later.append(at[~hit & (bits == 0)])
+                more = np.flatnonzero(~hit & (bits != 0))
+                at, s, bits = at[more], np.take(s, more, axis=0), bits[more]
+            pending = np.concatenate(later)
+    return low
+
+
+def _implicit_columns(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
+                      p: int, cleared: np.ndarray):
+    """(low, read) of the coboundary columns of the layer rows, whose
+    cofaces form the layer with sorted rank keys keys_hi, with no index
+    built.  adj is the graph from _adjacency; the columns in cleared are
+    left out.
+
+    A column s reads its cofaces s + v over the common neighbours v of its
+    vertices, with coefficient (-1)**t for t = #{s_i < v}; one searchsorted
+    of their keys finds their rows and drops the keys that are not rows.
+    Most maps read no column, so read makes its Python copies of adj and of
+    the binomial table at its first call.
+    """
+    n, width = rows.shape
+    table = _np_binom(len(adj), width + 1)
+    live = np.ones(n, dtype=bool)
+    live[cleared] = False
+    low = _lowest_cofaces(rows, keys_hi, adj, table, np.flatnonzero(live))
+    last = len(keys_hi) - 1
+    ints = binom = None
+
+    def read(c: int) -> dict[int, int]:
+        nonlocal ints, binom
+        if ints is None:
+            ints = [int.from_bytes(row.tobytes(), "little") for row in adj]
+            binom = table.tolist()
+        s = rows[c].tolist()
+        common = ints[s[0]]
+        for x in s[1:]:
+            common &= ints[x]
+        # The key of s + v in slot t is below[t] + C(v, t+1) + above[t].
+        below, above = [0] * (width + 1), [0] * (width + 1)
+        for i, x in enumerate(s):
+            below[i + 1] = below[i] + binom[x][i + 1]
+        for i in range(width - 1, -1, -1):
+            above[i] = above[i + 1] + binom[s[i]][i + 2]
+        keys, slot = [], []
+        t = 0
+        while common:
+            bit = common & -common
+            common ^= bit
+            v = bit.bit_length() - 1
+            while t < width and s[t] < v:
+                t += 1
+            keys.append(below[t] + binom[v][t + 1] + above[t])
+            slot.append(t)
+        key = np.array(keys, dtype=np.int64)
+        idx = np.minimum(np.searchsorted(keys_hi, key), last)
+        hit = keys_hi[idx] == key
+        return {r: p - 1 if t & 1 else 1
+                for r, t, h in zip(idx.tolist(), slot, hit.tolist()) if h}
+
+    return low, read
+
+
+def _coboundary_columns(skel: Skeleton, k: int, p: int, cleared: np.ndarray,
+                        adj: np.ndarray):
+    """(low, read) of δ_k, leaving out the columns in cleared; adj is
+    _adjacency of skel's edges.
+
+    δ_0 is a CSR index: every one of its columns is read, and row i of
+    layer 0 is vertex i, so an edge (a, b) is its own facet rows, reversed
+    (dropping position 0 leaves b).  Above it the columns are implicit.
+    """
+    nv = skel.num_vertices
+    if k == 0:
+        facet_rows = skel.simplices[1][:, ::-1].astype(np.int64)
+        return _csr_columns(*_coboundary_index(facet_rows, nv), p, cleared)
+    keys_hi = _layer_ranks(skel.simplices[k + 1], nv)
+    return _implicit_columns(skel.simplices[k], keys_hi, adj, p, cleared)
 
 
 def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
@@ -248,27 +416,33 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     top_known is False when the skeleton is truncated exactly at maxdim, in
     which case ranks[maxdim+1] is a placeholder zero.
     """
+    # Imported here, so that a process that only enumerates does not carry
+    # the logging module (about 0.6 MB of RSS).
+    import logging
+
+    log = logging.getLogger("cuberips")
     ranks = [0] * (maxdim + 2)
     top_known = True
     cleared = np.zeros(0, dtype=np.int64)
+    adj = _adjacency(skel.simplices[1], skel.num_vertices) if skel.dim_cap else None
     for k in range(maxdim + 1):
         if k + 1 > skel.dim_cap:
             top_known = skel.complete_flag
             break
-        if len(skel.simplices[k + 1]) == 0:
+        n_hi = len(skel.simplices[k + 1])
+        if n_hi == 0:
             continue
-        # No local names: the facet rows are packed in place by the
-        # transpose, and the coboundary index is freed once reduced.
+        stats: dict[str, int] = {}
+        n_cleared = len(cleared)
+        # No local names: the columns and the keys they read are freed once
+        # reduced.
         cleared = _reduce_index(
-            *_coboundary_index(
-                _facet_row_indices(
-                    skel.simplices[k + 1], skel.layer_keys(k), skel.num_vertices
-                ),
-                len(skel.simplices[k]),
-            ),
-            len(skel.simplices[k + 1]),
-            p,
-            cleared,
+            *_coboundary_columns(skel, k, p, cleared, adj), n_hi, p, stats
+        )
+        log.debug(
+            "δ_%d: %d columns, %d cleared, %d settled in NumPy, %d read in Python, "
+            "%d additions", k, len(skel.simplices[k]), n_cleared, stats["settled"],
+            stats["read"], stats["additions"],
         )
         ranks[k + 1] = len(cleared)
         _check_rank(ranks[k + 1], *skel.counts[k : k + 2])
@@ -291,8 +465,15 @@ def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
         raise ValueError(
             f"maxdim {maxdim} exceeds dim_cap {skel.dim_cap}: insufficient skeleton"
         )
-    if skel.num_vertices == 0:
+    nv = skel.num_vertices
+    if nv == 0:
         return BettiVector(p, maxdim, (0,) * (maxdim + 1), maxdim)
+    if not skel._closed:
+        # The sweep reads cofaces from the graph, so a skeleton that was
+        # not built closed under faces is checked first.
+        for k in range(1, min(maxdim + 1, skel.dim_cap) + 1):
+            keys_lo = _layer_ranks(skel.simplices[k - 1], nv)
+            _facet_row_indices(skel.simplices[k], keys_lo, nv)
     counts = skel.counts
     ranks, top_known = _coboundary_ranks(skel, maxdim, p)
     betti = tuple(

@@ -229,7 +229,7 @@ def test_criterion_12_scale_three_full_vector_for_the_six_cube():
 @pytest.mark.slow
 @pytest.mark.parametrize("p", [2, 3])
 def test_scale_three_full_vector_for_the_seven_cube(p):
-    # About 10 s and 490 MB per field on a 2-core x86-64 box; GF(3) is the
+    # About 5 s and 400 MB per field on a 2-core x86-64 box; GF(3) is the
     # torsion sentinel.
     skel = enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
     assert skel.complete_flag

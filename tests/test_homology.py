@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 from itertools import combinations, product
 
 import numpy as np
@@ -16,14 +17,17 @@ from cuberips import (
     betti_single_dim,
     boundary_matrix,
     connected_components,
+    delete_vertex,
     dense_rank_oracle,
     enumerate_skeleton,
     flag_skeleton_from_graph,
     gf_rank,
+    greedy_collapse_probe,
     kneser_independence_complex,
     random_flag_skeleton,
     simplex_rank,
     skeleton_from_facets,
+    star_cluster,
     three_sphere_count,
 )
 
@@ -79,7 +83,7 @@ def test_boundary_matrix_dimension_bounds(q3r2):
         boundary_matrix(q3r2, 1, p=4)
 
 
-def test_face_closure_is_checked():
+def test_face_closure_is_checked(monkeypatch):
     base = skeleton_from_facets([(0, 1, 2, 3)])
     doctored = Skeleton(
         verts=base.verts,
@@ -94,6 +98,41 @@ def test_face_closure_is_checked():
         homology._facet_row_indices(
             np.array([[0, 1]], dtype=np.uint32), np.zeros(0, dtype=np.int64), 2
         )
+    # The sweep reads cofaces from the graph, so only the check can see
+    # the missing edge (2, 3), also after a subcomplex keeps it missing.
+    for skel in (doctored, delete_vertex(doctored, 0)):
+        with pytest.raises(ValueError, match="skeleton is not closed under faces"):
+            betti_numbers(skel)
+
+    # What the package builds is closed, and is not checked again.
+    def unreachable(*args):
+        raise AssertionError("closure checked on a skeleton built closed")
+
+    q4r2 = enumerate_skeleton(SpaceSpec.hypercube(4, 2), 5)
+    cluster = star_cluster(q4r2, (0, 3))
+    rp2 = skeleton_from_facets(RP2_FACETS)
+    monkeypatch.setattr(homology, "_facet_row_indices", unreachable)
+    assert betti_numbers(q4r2).reduced_betti == (0, 0, 0, three_sphere_count(16), 0, 0)
+    assert betti_numbers(rp2).reduced_betti == (0, 1, 1)
+    assert betti_numbers(cluster, maxdim=3).reduced_betti == (0, 0, 0, 0)
+
+
+def test_the_sweep_caches_no_rank_keys():
+    skel = enumerate_skeleton(SpaceSpec.hypercube(4, 2), 5)
+    betti_numbers(skel)
+    assert skel._keys == {}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_each_reduced_map_logs_its_counts(caplog, p):
+    # Over both fields one column of δ_1 collides, is read with the four
+    # owners it meets, and is zero over GF(2) but a new pivot over GF(3).
+    with caplog.at_level(logging.DEBUG, logger="cuberips"):
+        betti_numbers(skeleton_from_facets(RP2_FACETS), p=p)
+    assert [r.getMessage() for r in caplog.records if r.name == "cuberips"] == [
+        "δ_0: 6 columns, 0 cleared, 5 settled in NumPy, 6 read in Python, 5 additions",
+        "δ_1: 15 columns, 5 cleared, 9 settled in NumPy, 5 read in Python, 4 additions",
+    ]
 
 
 def test_facet_rows_of_a_fourteen_vertex_layer_at_128_vertices():
@@ -147,9 +186,8 @@ def _check_reduction(entries, starts, p, dense, cleared=()):
     # Every reduction that takes lowest rows as pivots ends with the same
     # ones, in any column order: row i is one exactly when rows 0..i have a
     # larger rank than rows 0..i-1.
-    pivot_rows = homology._reduce_index(
-        entries, starts, len(dense), p, np.array(cleared, dtype=np.int64)
-    )
+    low, read = homology._csr_columns(entries, starts, p, np.array(cleared, dtype=np.int64))
+    pivot_rows = homology._reduce_index(low, read, len(dense), p)
     assert pivot_rows.dtype == np.int64
     assert len(pivot_rows) == gf_rank(dense, p)
     assert pivot_rows.tolist() == [
@@ -175,7 +213,8 @@ def test_reduce_index_reduces_onto_a_later_owner(p):
     columns = [[2, 5], [1, 2], [1, 3]]
     entries = np.array([2 * r for col in columns for r in col], dtype=np.int64)
     starts = np.array([0, 2, 4, 6], dtype=np.int64)
-    got = homology._reduce_index(entries, starts, 6, p, np.zeros(0, dtype=np.int64))
+    low, read = homology._csr_columns(entries, starts, p, np.zeros(0, dtype=np.int64))
+    got = homology._reduce_index(low, read, 6, p)
     assert got.tolist() == [1, 2, 3]
 
 
@@ -318,10 +357,11 @@ def test_vertex_coboundary_pivots_are_the_joining_edges(p):
         facet_rows = homology._facet_row_indices(
             skel.simplices[1], skel.layer_keys(0), n_vertices
         )
-        pivot_rows = homology._reduce_index(
+        low, read = homology._csr_columns(
             *homology._coboundary_index(facet_rows, n_vertices),
-            n_edges, p, np.zeros(0, dtype=np.int64),
+            p, np.zeros(0, dtype=np.int64),
         )
+        pivot_rows = homology._reduce_index(low, read, n_edges, p)
         assert pivot_rows.tolist() == _joining_edges(skel)
         assert len(pivot_rows) == n_vertices - connected_components(skel)
 
@@ -450,6 +490,72 @@ def test_index_matches_slow_references():
     assert min(not_flag, empty, one_row) > 0
 
 
+def _assert_columns_match_the_index(skel: Skeleton, p: int, rng) -> None:
+    """Every map's (low, read) in the sweep equals the CSR transpose of
+    _facet_row_indices, with a random fifth of the columns cleared."""
+    if skel.dim_cap == 0:
+        return
+    nv = skel.num_vertices
+    adj = homology._adjacency(skel.simplices[1], nv)
+    for k in range(skel.dim_cap):
+        n, n_hi = skel.counts[k : k + 2]
+        if n_hi == 0:
+            continue
+        cleared = np.flatnonzero(rng.random(n) < 0.2)
+        facet_rows = homology._facet_row_indices(
+            skel.simplices[k + 1], skel.layer_keys(k), nv
+        )
+        want_low, want_read = homology._csr_columns(
+            *homology._coboundary_index(facet_rows, n), p, cleared
+        )
+        low, read = homology._coboundary_columns(skel, k, p, cleared, adj)
+        assert low.dtype == np.int64
+        assert low.tolist() == want_low.tolist(), f"k={k}"
+        for c in range(n):
+            assert list(read(c).items()) == list(want_read(c).items()), f"k={k} c={c}"
+
+
+def _derived_skeletons(rng) -> list[Skeleton]:
+    """Star clusters and collapse residuals, the latter mostly not flag."""
+    q4r2 = enumerate_skeleton(SpaceSpec.hypercube(4, 2), 5)
+    out = [star_cluster(q4r2, sigma) for sigma in ((0,), (0, 3), (1, 2, 7))]
+    for _ in range(12):
+        skel = random_flag_skeleton(rng)
+        out.append(star_cluster(skel, (int(rng.integers(skel.num_vertices)),)))
+        if skel.complete_flag:
+            budget = int(rng.integers(1, 12))
+            out.append(greedy_collapse_probe(skel, 0, budget=budget).residual)
+    out.append(greedy_collapse_probe(q4r2, 1, budget=40).residual)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_implicit_columns_match_the_index(p, monkeypatch):
+    monkeypatch.setattr(homology, "_BLOCK", 5)  # many blocks per layer
+    rng = np.random.default_rng(80 + p)
+    skeletons = [random_flag_skeleton(rng) for _ in range(20)]
+    skeletons += [_random_facet_skeleton(rng) for _ in range(30)]
+    skeletons += _derived_skeletons(rng)
+    skeletons += [kneser_independence_complex(5, 4), kneser_independence_complex(6, 3)]
+    not_flag = 0
+    for skel in skeletons:
+        edges = skel.simplices[1].tolist() if skel.dim_cap >= 1 else []
+        flag = flag_skeleton_from_graph(range(skel.num_vertices), edges, skel.dim_cap)
+        not_flag += flag.counts != skel.counts
+        _assert_columns_match_the_index(skel, p, rng)
+    assert not_flag >= 10  # the misses that drop a common neighbour
+
+
+@pytest.mark.parametrize("m", [65, 100, 129, 200])
+def test_implicit_columns_match_the_index_across_words(m):
+    # One more uint64 word of neighbours past every 64 vertices.
+    rng = np.random.default_rng(m)
+    for r, dim_cap in ((2, 3), (3, 2)):
+        skel = enumerate_skeleton(SpaceSpec(m=m, r=r), dim_cap)
+        for p in (2, 3):
+            _assert_columns_match_the_index(skel, p, rng)
+
+
 def test_relabelling_does_not_change_betti(q4r2):
     rng = np.random.default_rng(11)
     edges = q4r2.simplices[1].tolist()
@@ -478,10 +584,10 @@ def test_negative_betti_raises(monkeypatch):
 def test_rank_above_matrix_size_raises(monkeypatch):
     real = homology._reduce_index
 
-    def inflated(entries, starts, n_rows, p, cleared):
-        pivot_rows = real(entries, starts, n_rows, p, cleared)
+    def inflated(low, read, n_rows, p, stats=None):
+        pivot_rows = real(low, read, n_rows, p, stats)
         # one more than the column count
-        return np.pad(pivot_rows, (0, len(starts) - len(pivot_rows)))
+        return np.pad(pivot_rows, (0, len(low) + 1 - len(pivot_rows)))
 
     monkeypatch.setattr(homology, "_reduce_index", inflated)
     with pytest.raises(RuntimeError, match="rank 4 of a 3 x 3 map"):
