@@ -11,7 +11,10 @@ Enumeration grows one layer at a time.  Next to its rows, layer k keeps
 packed candidate bitsets: row j of ``cand`` has bit u set when u is above
 the top vertex of simplex j and adjacent to all its vertices.  Each set bit
 is one child in layer k+1, so the next layer's size is a popcount, known
-before anything is built.
+before anything is built.  The children are read off one 64-bit word at a
+time, from the parents whose word is nonzero only, and sorted by their new
+top vertex; parent rows and candidate words are then gathered with
+np.take, a row as a single void item.
 """
 
 from __future__ import annotations
@@ -176,25 +179,42 @@ def _upper_adjacency(space: SpaceSpec) -> np.ndarray:
 def _next_layer(rows, cand, up, size):
     """Rows and candidates of layer k+1, one child per set candidate bit.
 
-    Candidates are unpacked one 64-bit word at a time, so the unpacked bits
-    never exceed 64 bytes per row.  Their positions 64*parent + bit come in
-    parent order; a stable sort on the bit (a radix sort of uint8 keys)
-    orders the children by new top vertex u, then by parent: colex order.
-    A child keeps the parent's candidates that are neighbours of u above u.
+    Candidates go one 64-bit word at a time, and only the parents whose
+    word is nonzero are unpacked, 64 bytes each.  The positions 64*j + bit
+    of the set bits (j counting those parents) come in parent order; a
+    stable sort on the bit (a radix sort of uint8 keys) orders the children
+    by new top vertex u, then by parent: colex order.  Each parent row is
+    gathered as one void item into a structured view of the child rows.
+    A child keeps the parent's candidates that are neighbours of u above
+    u: np.take(axis=0) gathers the parents' words straight into the child
+    block, and the rows of up are ANDed in.  Each int64 index array is
+    dropped as soon as it has been read.
     """
     n, width = rows.shape
     child_rows = np.empty((size, width + 1), dtype=np.uint32)
     child_cand = np.empty((size, up.shape[1]), dtype=up.dtype)
+    items = rows.view(f"V{4 * width}")[:, 0]
+    child = child_rows.view([("head", f"V{4 * width}"), ("top", np.uint32)])[:, 0]
     at = 0
     for w in range(up.shape[1]):
-        word = np.ascontiguousarray(cand[:, w], dtype="<u8").view(np.uint8)
-        flat = np.flatnonzero(np.unpackbits(word, bitorder="little").view(bool))
-        flat = flat[np.argsort((flat & 63).astype(np.uint8), kind="stable")]
-        parent, u = flat >> 6, (flat & 63) + 64 * w
-        end = at + len(u)
-        child_rows[at:end, :width] = rows[parent]
-        child_rows[at:end, width] = u
-        np.bitwise_and(cand[parent], up[u], out=child_cand[at:end])
+        hit = np.flatnonzero(cand[:, w] != 0)
+        bits = np.unpackbits(cand[hit, w].view(np.uint8), bitorder="little")
+        flat = np.flatnonzero(bits.view(bool))
+        del bits
+        flat = flat[np.argsort(flat.astype(np.uint8) & 63, kind="stable")]
+        end = at + len(flat)
+        top = child["top"][at:end]
+        np.bitwise_and(flat, 63, out=top, casting="unsafe")
+        top += 64 * w
+        flat >>= 6
+        parent = hit[flat]
+        del flat, hit
+        child["head"][at:end] = np.take(items, parent)
+        # parent is in range, and mode="clip" lets np.take write into the
+        # block directly instead of through a buffer
+        np.take(cand, parent, axis=0, out=child_cand[at:end], mode="clip")
+        del parent
+        child_cand[at:end] &= np.take(up, top, axis=0)
         at = end
     return child_rows, child_cand
 

@@ -266,13 +266,10 @@ def _csr_columns(entries: np.ndarray, starts: np.ndarray, p: int, cleared: np.nd
 def _adjacency(edges: np.ndarray, nv: int) -> np.ndarray:
     """The graph of an edge layer, as an (nv, ceil(nv/64)) little-endian
     uint64 array whose row v has bit u set iff uv is an edge."""
-    words = -(-nv // 64)
-    adj = np.zeros(nv * words, dtype=np.uint64)
-    a, b = edges.astype(np.int64).T
-    for x, y in ((a, b), (b, a)):
-        np.bitwise_or.at(adj, x * words + (y >> 6),
-                         np.left_shift(np.uint64(1), (y & 63).astype(np.uint64)))
-    return adj.reshape(nv, words)
+    dense = np.zeros((nv, 64 * -(-nv // 64)), dtype=bool)
+    a, b = edges.T
+    dense[a, b] = dense[b, a] = True
+    return np.packbits(dense, axis=1, bitorder="little").view("<u8")
 
 
 def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,

@@ -131,41 +131,53 @@ def test_counts_match_networkx_cliques(n, r):
     assert skel.counts == tuple(expected)
 
 
-def _networkx_clique_counts(nodes, edges) -> tuple[int, ...]:
+def _networkx_cliques(nodes, edges) -> list[list[tuple[int, ...]]]:
+    """Every clique of the graph, by dimension, each layer in colex order."""
     import networkx as nx
 
     graph = nx.Graph()
     graph.add_nodes_from(nodes)
     graph.add_edges_from(edges)
-    counts = [0] * len(nodes)
+    layers: list[list[tuple[int, ...]]] = [[] for _ in nodes]
     for clique in nx.enumerate_all_cliques(graph):
-        counts[len(clique) - 1] += 1
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
+        layers[len(clique) - 1].append(tuple(sorted(clique)))
+    while layers and not layers[-1]:
+        layers.pop()
+    for layer in layers:
+        layer.sort(key=lambda c: c[::-1])
+    return layers
 
 
-@pytest.mark.parametrize("m", [63, 64, 65, 100, 129])
+def _assert_layers_are(skel: Skeleton, cliques) -> None:
+    """skel holds exactly these cliques, row for row, and nothing above."""
+    assert skel.counts == tuple(len(layer) for layer in cliques)
+    for k, layer in enumerate(cliques):
+        got = skel.verts[skel.simplices[k]]
+        assert [tuple(row) for row in got.tolist()] == layer, f"k={k}"
+
+
+@pytest.mark.parametrize("m", [63, 64, 65, 100, 129, 192])
 def test_prefix_counts_match_networkx_across_words(m):
-    # above 64 vertices the candidate bitsets span several uint64 words
+    # above 64 vertices the candidate bitsets span several uint64 words;
+    # every layer must hold networkx's cliques row for row, in colex order
     space = SpaceSpec(m=m, r=2)
-    expected = _networkx_clique_counts(
+    expected = _networkx_cliques(
         range(m),
         [(a, b) for a, b in combinations(range(m), 2) if hamming_distance(a, b) <= 2],
     )
     skel = enumerate_skeleton(space, len(expected) - 1)
     assert skel.complete_flag
-    assert skel.counts == expected
+    _assert_layers_are(skel, expected)
 
 
 def test_random_graph_past_one_word_is_in_colex_order():
     rng = np.random.default_rng(20)
     labels = rng.choice(10_000, size=150, replace=False).tolist()
     edges = [(a, b) for a, b in combinations(labels, 2) if rng.random() < 0.25]
-    expected = _networkx_clique_counts(labels, edges)
+    expected = _networkx_cliques(labels, edges)
     skel = flag_skeleton_from_graph(labels, edges, len(expected) - 1)
-    assert skel.counts == expected
     assert len(expected) > 4
+    _assert_layers_are(skel, expected)
     for k in range(skel.dim_cap + 1):
         assert (np.diff(skel.layer_keys(k)) > 0).all(), f"k={k}"
 
