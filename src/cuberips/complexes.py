@@ -70,12 +70,11 @@ def _np_binom(nv: int, tmax: int) -> np.ndarray:
     return out
 
 
-def _layer_ranks(rows: np.ndarray, nv: int) -> np.ndarray:
-    """Combinatorial-number-system rank of each row: sum of C(row[t], t+1)."""
-    width = rows.shape[1]
-    table = _np_binom(nv, width)
+def _layer_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Combinatorial-number-system rank of each row: sum of C(row[t], t+1),
+    read from an _np_binom table with at least width + 1 columns."""
     out = np.zeros(len(rows), dtype=np.int64)
-    for t in range(width):
+    for t in range(rows.shape[1]):
         out += table[rows[:, t], t + 1]
     return out
 
@@ -89,8 +88,9 @@ class Skeleton:
     true when dim_cap is at least the top dimension of the full complex, i.e.
     nothing was truncated away.  ``source`` describes provenance: a SpaceSpec
     for metric enumerations, or a tuple tag for derived complexes.
-    ``_closed`` marks a skeleton built closed under faces, which homology
-    then need not check; a skeleton built by hand is unmarked.
+    ``_closed`` marks a skeleton built closed under faces and in colex
+    order, which homology then need not check; a skeleton built by hand is
+    unmarked.
     """
 
     verts: np.ndarray
@@ -119,7 +119,9 @@ class Skeleton:
     def layer_keys(self, k: int) -> np.ndarray:
         """Sorted int64 rank keys of the dimension-k layer."""
         if k not in self._keys:
-            self._keys[k] = _layer_ranks(self.simplices[k], self.num_vertices)
+            self._keys[k] = _layer_ranks(
+                self.simplices[k], _np_binom(self.num_vertices, k + 1)
+            )
         return self._keys[k]
 
     def has_simplex(self, sigma) -> bool:

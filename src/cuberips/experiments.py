@@ -26,7 +26,7 @@ from .complexes import (
 )
 from .formulas import PredictionRecord, link_sphere_count, predicted_betti
 from .hamming import SpaceSpec
-from .homology import BettiVector, _coboundary_index, _facet_row_indices, betti_numbers
+from .homology import BettiVector, _facet_row_indices, betti_numbers
 from .oracle import betti_numbers_dense
 
 
@@ -238,6 +238,32 @@ class CollapseOutcome:
     residual: Skeleton | None = None
 
 
+def _coboundary_index(facet_rows: np.ndarray, n_lo: int):
+    """Coboundary columns of the layer below, as (entries, starts).
+
+    The CSR transpose of the facet rows of layer k+1: column c lists, in
+    ascending order, the cofaces of the c-th k-simplex, each with the sign
+    of the facet-row column t it came from.  One in-place sort of the
+    packed keys facet_row << shift | j << 1 | (t & 1) does the transpose;
+    the keys are distinct, because a coface meets each of its facets once.
+    """
+    n, width = facet_rows.shape
+    shift = (2 * n).bit_length()
+    if (n_lo - 1) << shift >= 1 << 63:
+        raise OverflowError(
+            f"coboundary keys of {n_lo} rows and {n} cofaces exceed 63 bits"
+        )
+    starts = np.zeros(n_lo + 1, dtype=np.int64)
+    np.cumsum(np.bincount(facet_rows.ravel(), minlength=n_lo), out=starts[1:])
+    keys = facet_rows << shift
+    keys |= (np.arange(n, dtype=np.int64) << 1)[:, None]
+    keys[:, 1::2] |= 1
+    keys = keys.ravel()
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return keys, starts
+
+
 def greedy_collapse_probe(skel: Skeleton, target_dim: int,
                           budget: int = 1_000_000) -> CollapseOutcome:
     """Greedily remove free pairs until nothing remains above target_dim.
@@ -268,8 +294,7 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     cof_count: dict[int, np.ndarray] = {}
     cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(target_dim, top):
-        # The transpose consumes its argument, and on_death reads the rows.
-        entries, starts = _coboundary_index(facet_rows[k + 1].copy(), counts[k])
+        entries, starts = _coboundary_index(facet_rows[k + 1], counts[k])
         cof_count[k] = np.diff(starts)
         cofaces[k] = (entries >> 1, starts)
     heaps = {

@@ -6,34 +6,39 @@ of δ_{k-1} clear their columns of δ_k, so clearing flows from the cheap low
 dimensions upward and one pass suffices.  ``betti_single_dim`` is that sweep
 over layers 0..i+1.
 
-The sweep builds no coboundary above δ_0.  In colex order the cofaces of a
-k-simplex s are s + v for the common neighbours v of its vertices, and
-their rows rise with v, so the lowest row of column s is s plus its
-smallest common neighbour: one AND of packed adjacency bitsets, one
-combinatorial-number-system key and one searchsorted against the sorted
-keys of layer k+1 (``_lowest_cofaces``).  A full column is enumerated the
-same way, in Python, only when the kernel reads it.  An entry whose new
-vertex lands in slot t carries the coefficient (-1)**t.  δ_0 stays an
-explicit CSR index, because the reduction reads every one of its columns:
-the edge rows are their own facet rows, and ``_coboundary_index`` makes the
-transpose by one in-place sort of packed (facet row, coface, sign) keys.
+The sweep reduces no explicit matrix.  δ_0 needs no reduction at all: its
+pivot rows are the edges that join two components when the edges are added
+in colex order, Kruskal's forest for every prime, which
+``_spanning_forest`` finds by labelling components in NumPy.  Above δ_0, in
+colex order the cofaces of a k-simplex s are s + v for the common
+neighbours v of its vertices, and their rows rise with v, so the lowest row
+of column s is s plus its smallest common neighbour: one AND of packed
+adjacency bitsets, one combinatorial-number-system key and one searchsorted
+against the sorted keys of layer k+1 (``_lowest_cofaces``).  A full column
+is enumerated the same way, in Python, only when the kernel reads it.  An
+entry whose new vertex lands in slot t carries the coefficient (-1)**t.
+One binomial table, as wide as the highest layer the sweep reaches, serves
+every key of a call.
 
-The cofaces come from the graph, so the sweep trusts the skeleton to be
-closed under faces.  The constructors that guarantee it mark the skeleton;
-on an unmarked one ``betti_numbers`` first runs ``_facet_row_indices``,
-which finds, by one searchsorted per vertex position, the row in layer k-1
-of every facet of layer k and raises when one is missing.  Boundary
-matrices, the integer SNF and the collapse probe use those facet rows too.
+The cofaces come from the graph and the forest from the edge order, so the
+sweep trusts the skeleton to be closed under faces and in colex order.  The
+constructors that guarantee it mark the skeleton; on an unmarked one the
+sweep first checks that every row ascends and every layer's rank keys
+increase, and runs ``_facet_row_indices``, which finds, by one searchsorted
+per vertex position, the row in layer k-1 of every facet of layer k and
+raises when one is missing.  Boundary matrices, the integer SNF and the
+collapse probe use those facet rows too.
 
-One kernel, ``_reduce_index``, reduces every map for every prime.  It walks
-the columns from last to first and takes each column's lowest row as its
-pivot: the order of persistent cohomology over the colex filtration, in
-which the rows a prefix {0..m-1} spans come first.  NumPy gives each row to
-the first column in that order whose lowest row it is; only the remaining,
-colliding columns are reduced in Python, each read into a row->coefficient
-dict together with the pivots it meets.  The set of pivot rows depends
-only on the column space, so neither the order nor clearing changes it.
-Each reduced map writes one debug line to the "cuberips" logger.
+One kernel, ``_reduce_index``, reduces every map above δ_0 for every prime.
+It walks the columns from last to first and takes each column's lowest row
+as its pivot: the order of persistent cohomology over the colex filtration,
+in which the rows a prefix {0..m-1} spans come first.  NumPy gives each row
+to the first column in that order whose lowest row it is; only the
+remaining, colliding columns are reduced in Python, each read into a
+row->coefficient dict together with the pivots it meets.  The set of pivot
+rows depends only on the column space, so neither the order nor clearing
+changes it.  Each map of the sweep writes one debug line to the "cuberips"
+logger.
 """
 
 from __future__ import annotations
@@ -136,35 +141,6 @@ def _facet_row_indices(rows: np.ndarray, keys_lo: np.ndarray, nv: int) -> np.nda
     return out
 
 
-def _coboundary_index(facet_rows: np.ndarray, n_lo: int):
-    """Coboundary columns of the layer below, as (entries, starts).
-
-    The CSR transpose of the facet rows of layer k+1: column c lists, in
-    ascending order, the cofaces of the c-th k-simplex, each with the sign
-    of the facet-row column t it came from.  One in-place sort of the
-    packed keys facet_row << shift | j << 1 | (t & 1) does the transpose;
-    the keys are distinct, because a coface meets each of its facets once.
-    The keys are packed in facet_rows itself, so the caller's array is
-    consumed: pass a copy to keep the facet rows.
-    """
-    n, width = facet_rows.shape
-    shift = (2 * n).bit_length()
-    if (n_lo - 1) << shift >= 1 << 63:
-        raise OverflowError(
-            f"coboundary keys of {n_lo} rows and {n} cofaces exceed 63 bits"
-        )
-    starts = np.zeros(n_lo + 1, dtype=np.int64)
-    np.cumsum(np.bincount(facet_rows.ravel(), minlength=n_lo), out=starts[1:])
-    keys = facet_rows
-    keys <<= shift
-    keys |= (np.arange(n, dtype=np.int64) << 1)[:, None]
-    keys[:, 1::2] |= 1
-    keys = keys.ravel()
-    keys.sort()
-    keys &= (1 << shift) - 1
-    return keys, starts
-
-
 def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:
     """Explicit sparse boundary map in dimension k (1 <= k <= dim_cap)."""
     _check_prime(p)
@@ -250,7 +226,9 @@ def _reduce_index(low: np.ndarray, read, n_rows: int, p: int,
 def _csr_columns(entries: np.ndarray, starts: np.ndarray, p: int, cleared: np.ndarray):
     """(low, read) of the columns entries[starts[c]:starts[c+1]], leaving
     out the columns in cleared.  An entry 2*row + s, in ascending row order,
-    stands for the coefficient (-1)**s in that row."""
+    stands for the coefficient (-1)**s in that row.  The sweep builds no
+    such matrix; this feeds an explicit one, as the kernel tests do, to
+    _reduce_index."""
     low = np.full(len(starts) - 1, -1, dtype=np.int64)
     full = np.flatnonzero(np.diff(starts) > 0)
     low[full] = entries[starts[full]] >> 1
@@ -328,11 +306,11 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
 
 
 def _implicit_columns(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
-                      p: int, cleared: np.ndarray):
+                      table: np.ndarray, p: int, cleared: np.ndarray):
     """(low, read) of the coboundary columns of the layer rows, whose
     cofaces form the layer with sorted rank keys keys_hi, with no index
-    built.  adj is the graph from _adjacency; the columns in cleared are
-    left out.
+    built.  adj is the graph from _adjacency and table an _np_binom table
+    with at least width + 2 columns; the columns in cleared are left out.
 
     A column s reads its cofaces s + v over the common neighbours v of its
     vertices, with coefficient (-1)**t for t = #{s_i < v}; one searchsorted
@@ -341,7 +319,6 @@ def _implicit_columns(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
     the binomial table at its first call.
     """
     n, width = rows.shape
-    table = _np_binom(len(adj), width + 1)
     live = np.ones(n, dtype=bool)
     live[cleared] = False
     low = _lowest_cofaces(rows, keys_hi, adj, table, np.flatnonzero(live))
@@ -383,20 +360,65 @@ def _implicit_columns(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
 
 
 def _coboundary_columns(skel: Skeleton, k: int, p: int, cleared: np.ndarray,
-                        adj: np.ndarray):
-    """(low, read) of δ_k, leaving out the columns in cleared; adj is
-    _adjacency of skel's edges.
-
-    δ_0 is a CSR index: every one of its columns is read, and row i of
-    layer 0 is vertex i, so an edge (a, b) is its own facet rows, reversed
-    (dropping position 0 leaves b).  Above it the columns are implicit.
+                        adj: np.ndarray, table: np.ndarray):
+    """(low, read) of δ_k for k >= 1, leaving out the columns in cleared;
+    adj is _adjacency of skel's edges and table an _np_binom table with at
+    least k + 3 columns.  δ_0 is not reduced: see _spanning_forest.
     """
-    nv = skel.num_vertices
-    if k == 0:
-        facet_rows = skel.simplices[1][:, ::-1].astype(np.int64)
-        return _csr_columns(*_coboundary_index(facet_rows, nv), p, cleared)
-    keys_hi = _layer_ranks(skel.simplices[k + 1], nv)
-    return _implicit_columns(skel.simplices[k], keys_hi, adj, p, cleared)
+    keys_hi = _layer_ranks(skel.simplices[k + 1], table)
+    return _implicit_columns(skel.simplices[k], keys_hi, adj, table, p, cleared)
+
+
+def _spanning_forest(edges: np.ndarray, nv: int) -> np.ndarray:
+    """Sorted int64 rows of the edges that join two components when the
+    edge layer is added one edge at a time in colex order: Kruskal's
+    spanning forest, and the pivot rows of δ_0 over every field.  There are
+    nv less the number of components of them.
+
+    Colex order groups the edges by their top vertex b.  The first edge of
+    each group meets b for the first time, so it joins; the components of
+    these first edges are labelled by pointer jumping.  Two vertices up to
+    b are joined by the edges before (a, b) exactly when the first edges
+    and the other edges before it join them: a later first edge (x, c),
+    c > b, only attaches c, and a path through vertices above b would need
+    two edges down from its top vertex, which has one.  So only the other
+    edges whose ends carry different labels go through a union-find over
+    labels, in order; on the hypercube prefixes there are none.
+    """
+    a, b = edges[:, 0], edges[:, 1]
+    if (a >= b).any() or (b[1:] < b[:-1]).any():
+        raise ValueError("edges are not in colex order")
+    first = np.ones(len(edges), dtype=bool)
+    np.not_equal(b[1:], b[:-1], out=first[1:])
+    label = np.arange(nv)
+    label[b[first]] = a[first]
+    while True:
+        up = label[label]
+        if np.array_equal(up, label):
+            break
+        label = up
+    forest = np.flatnonzero(first)
+    rest = np.flatnonzero(~first)
+    la, lb = label[a[rest]], label[b[rest]]
+    apart = la != lb
+    if not apart.any():
+        return forest
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while x in parent:
+            up = parent[x]
+            parent[x] = parent.get(up, up)  # path splitting
+            x = up
+        return x
+
+    joined = []
+    for j, x, y in zip(rest[apart].tolist(), la[apart].tolist(), lb[apart].tolist()):
+        x, y = find(x), find(y)
+        if x != y:
+            parent[x] = y
+            joined.append(j)
+    return np.sort(np.concatenate([forest, np.array(joined, dtype=np.int64)]))
 
 
 def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
@@ -404,6 +426,21 @@ def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
         raise RuntimeError(
             f"rank {rank} of a {n_rows} x {n_cols} map: engine bug"
         )
+
+
+def _check_unmarked(skel: Skeleton, top: int, table: np.ndarray) -> None:
+    """Raise ValueError unless layers 0..top of skel, a skeleton not marked
+    closed, ascend within rows, increase in rank keys and are closed under
+    faces."""
+    keys_lo = None
+    for k in range(top + 1):
+        rows = skel.simplices[k]
+        keys = _layer_ranks(rows, table)
+        if (rows[:, 1:] <= rows[:, :-1]).any() or (keys[1:] <= keys[:-1]).any():
+            raise ValueError(f"layer {k} is not in colex order")
+        if k:
+            _facet_row_indices(rows, keys_lo, skel.num_vertices)
+        keys_lo = keys
 
 
 def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
@@ -418,31 +455,45 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     import logging
 
     log = logging.getLogger("cuberips")
+    nv, counts = skel.num_vertices, skel.counts
+    # The table reaches the highest nonempty layer read, not maxdim + 1: a
+    # wider one could overflow 63 bits for layers that are empty anyway.
+    top = min(maxdim + 1, skel.dim_cap)
+    while top and not counts[top]:
+        top -= 1
+    table = _np_binom(nv, top + 1)
+    if not skel._closed:
+        _check_unmarked(skel, top, table)
     ranks = [0] * (maxdim + 2)
     top_known = True
     cleared = np.zeros(0, dtype=np.int64)
-    adj = _adjacency(skel.simplices[1], skel.num_vertices) if skel.dim_cap else None
+    adj = _adjacency(skel.simplices[1], nv) if top >= 2 else None
     for k in range(maxdim + 1):
         if k + 1 > skel.dim_cap:
             top_known = skel.complete_flag
             break
-        n_hi = len(skel.simplices[k + 1])
+        n_hi = counts[k + 1]
         if n_hi == 0:
             continue
-        stats: dict[str, int] = {}
-        n_cleared = len(cleared)
-        # No local names: the columns and the keys they read are freed once
-        # reduced.
-        cleared = _reduce_index(
-            *_coboundary_columns(skel, k, p, cleared, adj), n_hi, p, stats
-        )
-        log.debug(
-            "δ_%d: %d columns, %d cleared, %d settled in NumPy, %d read in Python, "
-            "%d additions", k, len(skel.simplices[k]), n_cleared, stats["settled"],
-            stats["read"], stats["additions"],
-        )
+        if k == 0:
+            cleared = _spanning_forest(skel.simplices[1], nv)
+            log.debug("δ_0: %d columns, %d edges in the spanning forest",
+                      counts[0], len(cleared))
+        else:
+            stats: dict[str, int] = {}
+            n_cleared = len(cleared)
+            # No local names: the columns and the keys they read are freed
+            # once reduced.
+            cleared = _reduce_index(
+                *_coboundary_columns(skel, k, p, cleared, adj, table), n_hi, p, stats
+            )
+            log.debug(
+                "δ_%d: %d columns, %d cleared, %d settled in NumPy, %d read in "
+                "Python, %d additions", k, counts[k], n_cleared, stats["settled"],
+                stats["read"], stats["additions"],
+            )
         ranks[k + 1] = len(cleared)
-        _check_rank(ranks[k + 1], *skel.counts[k : k + 2])
+        _check_rank(ranks[k + 1], *counts[k : k + 2])
     return ranks, top_known
 
 
@@ -465,12 +516,6 @@ def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
     nv = skel.num_vertices
     if nv == 0:
         return BettiVector(p, maxdim, (0,) * (maxdim + 1), maxdim)
-    if not skel._closed:
-        # The sweep reads cofaces from the graph, so a skeleton that was
-        # not built closed under faces is checked first.
-        for k in range(1, min(maxdim + 1, skel.dim_cap) + 1):
-            keys_lo = _layer_ranks(skel.simplices[k - 1], nv)
-            _facet_row_indices(skel.simplices[k], keys_lo, nv)
     counts = skel.counts
     ranks, top_known = _coboundary_ranks(skel, maxdim, p)
     betti = tuple(
@@ -497,18 +542,8 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
 
 
 def connected_components(skel: Skeleton) -> int:
-    """Number of connected components of the stored 1-skeleton (union-find)."""
-    parent = list(range(skel.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if skel.dim_cap >= 1:
-        for a, b in skel.simplices[1].tolist():
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return sum(1 for v in range(len(parent)) if find(v) == v)
+    """Number of connected components of the stored 1-skeleton: the number
+    of vertices less the size of its spanning forest."""
+    if skel.dim_cap == 0:
+        return skel.num_vertices
+    return skel.num_vertices - len(_spanning_forest(skel.simplices[1], skel.num_vertices))

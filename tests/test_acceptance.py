@@ -269,3 +269,15 @@ def test_scale_three_full_vector_for_the_seven_cube(p):
     assert bv.reduced_betti[4] == conjectured_four_sphere_count(7)
     assert bv.reduced_betti[7] == conjectured_seven_sphere_count(7)
     assert bv.trusted_through == 13
+
+
+@pytest.mark.slow
+def test_scale_three_vector_through_dimension_nine_for_the_eight_cube():
+    # Layers 0..10 of the 8-cube at scale 3; δ_0's spanning forest is taken
+    # over 11,776 edges.
+    skel = enumerate_skeleton(SpaceSpec.hypercube(8, 3), 10)
+    bv = betti_numbers(skel, 2, 9)
+    assert bv.reduced_betti == (0, 0, 0, 0, 351, 0, 0, 1120, 0, 0)
+    assert bv.reduced_betti[4] == conjectured_four_sphere_count(8)
+    assert bv.reduced_betti[7] == conjectured_seven_sphere_count(8)
+    assert bv.trusted_through == 9

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuberips import homology
+from cuberips import experiments, homology
 from cuberips import (
     Skeleton,
     SpaceSpec,
@@ -130,7 +130,7 @@ def test_each_reduced_map_logs_its_counts(caplog, p):
     with caplog.at_level(logging.DEBUG, logger="cuberips"):
         betti_numbers(skeleton_from_facets(RP2_FACETS), p=p)
     assert [r.getMessage() for r in caplog.records if r.name == "cuberips"] == [
-        "δ_0: 6 columns, 0 cleared, 5 settled in NumPy, 6 read in Python, 5 additions",
+        "δ_0: 6 columns, 5 edges in the spanning forest",
         "δ_1: 15 columns, 5 cleared, 9 settled in NumPy, 5 read in Python, 4 additions",
     ]
 
@@ -159,12 +159,12 @@ def test_missing_facet_is_found_at_every_position(t):
 
 def test_coboundary_keys_beyond_63_bits_raise_before_allocating():
     # One coface needs 2 low bits, so 2**62 rows below leave no room; starts
-    # alone would take 32 EiB if the guard came after it.  The keys are
-    # packed in the facet rows, so they must be untouched too.
+    # alone would take 32 EiB if the guard came after it.  The facet rows
+    # must be untouched too.
     n_lo = 1 << 62
     facet_rows = np.array([[0, 1]], dtype=np.int64)
     with pytest.raises(OverflowError, match=f"{n_lo} rows and 1 cofaces"):
-        homology._coboundary_index(facet_rows, n_lo)
+        experiments._coboundary_index(facet_rows, n_lo)
     assert facet_rows.tolist() == [[0, 1]]
 
 
@@ -321,6 +321,7 @@ def test_connected_components():
     assert connected_components(enumerate_skeleton(SpaceSpec(m=8, r=1), 1)) == 1
     two = flag_skeleton_from_graph(range(4), [(0, 1), (2, 3)], 1)
     assert connected_components(two) == 2
+    assert connected_components(enumerate_skeleton(SpaceSpec(m=5, r=2), 0)) == 5
 
 
 def _joining_edges(skel: Skeleton) -> list[int]:
@@ -344,6 +345,8 @@ def _joining_edges(skel: Skeleton) -> list[int]:
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_vertex_coboundary_pivots_are_the_joining_edges(p):
+    import networkx as nx
+
     rng = np.random.default_rng(70 + p)
     skeletons = []
     for _ in range(140):
@@ -352,18 +355,28 @@ def test_vertex_coboundary_pivots_are_the_joining_edges(p):
         edges = [e for e in combinations(range(nv), 2) if rng.random() < density]
         skeletons.append(flag_skeleton_from_graph(range(nv), edges, 1))
     skeletons += [enumerate_skeleton(SpaceSpec(m=m, r=2), 1) for m in range(2, 129)]
+    # (0, 2) and (1, 3) are the first edges of their top vertices, and (2, 3)
+    # joins their components {0, 2} and {1, 3} in the Python union-find.
+    by_hand = flag_skeleton_from_graph(range(4), [(0, 2), (1, 3), (2, 3)], 1)
+    assert homology._spanning_forest(by_hand.simplices[1], 4).tolist() == [0, 1, 2]
+    skeletons.append(by_hand)
     for skel in skeletons:
         n_vertices, n_edges = skel.counts[:2]
         facet_rows = homology._facet_row_indices(
             skel.simplices[1], skel.layer_keys(0), n_vertices
         )
         low, read = homology._csr_columns(
-            *homology._coboundary_index(facet_rows, n_vertices),
+            *experiments._coboundary_index(facet_rows, n_vertices),
             p, np.zeros(0, dtype=np.int64),
         )
         pivot_rows = homology._reduce_index(low, read, n_edges, p)
-        assert pivot_rows.tolist() == _joining_edges(skel)
-        assert len(pivot_rows) == n_vertices - connected_components(skel)
+        forest = homology._spanning_forest(skel.simplices[1], n_vertices)
+        assert forest.dtype == np.int64
+        assert forest.tolist() == pivot_rows.tolist() == _joining_edges(skel)
+        graph = nx.Graph(skel.simplices[1].tolist())
+        graph.add_nodes_from(range(n_vertices))
+        assert connected_components(skel) == nx.number_connected_components(graph)
+        assert len(forest) == n_vertices - connected_components(skel)
 
 
 def test_betti_zero_counts_components():
@@ -482,8 +495,9 @@ def test_index_matches_slow_references():
             )
             assert rows.dtype == np.int64 and rows.shape == (n, k + 1)
             assert rows.tolist() == _facet_rows_reference(skel, k)
-            reference = rows.copy()  # the transpose packs its keys in rows
-            got = homology._coboundary_index(rows, n_lo)
+            reference = rows.copy()
+            got = experiments._coboundary_index(rows, n_lo)
+            assert (rows == reference).all()
             for a, b in zip(got, _coboundary_reference(reference, n_lo)):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert (a == b).all()
@@ -491,13 +505,15 @@ def test_index_matches_slow_references():
 
 
 def _assert_columns_match_the_index(skel: Skeleton, p: int, rng) -> None:
-    """Every map's (low, read) in the sweep equals the CSR transpose of
-    _facet_row_indices, with a random fifth of the columns cleared."""
+    """Every map's (low, read) in the sweep above δ_0 equals the CSR
+    transpose of _facet_row_indices, with a random fifth of the columns
+    cleared."""
     if skel.dim_cap == 0:
         return
     nv = skel.num_vertices
     adj = homology._adjacency(skel.simplices[1], nv)
-    for k in range(skel.dim_cap):
+    table = homology._np_binom(nv, skel.dim_cap + 1)
+    for k in range(1, skel.dim_cap):
         n, n_hi = skel.counts[k : k + 2]
         if n_hi == 0:
             continue
@@ -506,9 +522,9 @@ def _assert_columns_match_the_index(skel: Skeleton, p: int, rng) -> None:
             skel.simplices[k + 1], skel.layer_keys(k), nv
         )
         want_low, want_read = homology._csr_columns(
-            *homology._coboundary_index(facet_rows, n), p, cleared
+            *experiments._coboundary_index(facet_rows, n), p, cleared
         )
-        low, read = homology._coboundary_columns(skel, k, p, cleared, adj)
+        low, read = homology._coboundary_columns(skel, k, p, cleared, adj, table)
         assert low.dtype == np.int64
         assert low.tolist() == want_low.tolist(), f"k={k}"
         for c in range(n):
@@ -582,15 +598,69 @@ def test_negative_betti_raises(monkeypatch):
 
 
 def test_rank_above_matrix_size_raises(monkeypatch):
-    real = homology._reduce_index
+    real_forest, real_reduce = homology._spanning_forest, homology._reduce_index
 
-    def inflated(low, read, n_rows, p, stats=None):
-        pivot_rows = real(low, read, n_rows, p, stats)
-        # one more than the column count
+    # Each returns one more pivot row than its map has columns.
+    def inflated_forest(edges, nv):
+        forest = real_forest(edges, nv)
+        return np.pad(forest, (0, nv + 1 - len(forest)))
+
+    def inflated_reduce(low, read, n_rows, p, stats=None):
+        pivot_rows = real_reduce(low, read, n_rows, p, stats)
         return np.pad(pivot_rows, (0, len(low) + 1 - len(pivot_rows)))
 
-    monkeypatch.setattr(homology, "_reduce_index", inflated)
+    monkeypatch.setattr(homology, "_spanning_forest", inflated_forest)
     with pytest.raises(RuntimeError, match="rank 4 of a 3 x 3 map"):
         betti_numbers(_triangle_circle())
     with pytest.raises(RuntimeError, match="rank 9 of a 8 x 24 map"):
         betti_single_dim(SpaceSpec.hypercube(3, 2), 2)
+    monkeypatch.setattr(homology, "_spanning_forest", real_forest)
+    monkeypatch.setattr(homology, "_reduce_index", inflated_reduce)
+    with pytest.raises(RuntimeError, match="rank 25 of a 24 x 32 map"):
+        betti_single_dim(SpaceSpec.hypercube(3, 2), 2)
+
+
+def test_the_sweep_reduces_no_explicit_index(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the sweep built an explicit index")
+
+    monkeypatch.setattr(experiments, "_coboundary_index", unreachable)
+    monkeypatch.setattr(homology, "_csr_columns", unreachable)
+    assert not hasattr(homology, "_coboundary_index")
+    q4r2 = enumerate_skeleton(SpaceSpec.hypercube(4, 2), 5)
+    assert betti_numbers(q4r2).reduced_betti == (0, 0, 0, three_sphere_count(16), 0, 0)
+    assert betti_numbers(skeleton_from_facets(RP2_FACETS), p=3).reduced_betti == (0, 0, 0)
+    assert betti_single_dim(SpaceSpec(m=100, r=2), 3) == three_sphere_count(100)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        skel = random_flag_skeleton(rng)
+        assert betti_numbers(skel).reduced_betti == betti_numbers_dense(skel).reduced_betti
+
+
+def test_unmarked_skeleton_out_of_colex_order_raises():
+    def by_hand(edges) -> Skeleton:
+        return Skeleton(
+            verts=np.arange(4),
+            simplices=[np.arange(4, dtype=np.uint32)[:, None],
+                       np.array(edges, dtype=np.uint32)],
+            dim_cap=1,
+            complete_flag=True,
+        )
+
+    # A 4-cycle, closed under faces, whose rank keys 1, 4, 3, 2 do not rise.
+    shuffled = by_hand([[0, 2], [1, 3], [0, 3], [1, 2]])
+    with pytest.raises(ValueError, match="layer 1 is not in colex order"):
+        betti_numbers(shuffled)
+    with pytest.raises(ValueError, match="edges are not in colex order"):
+        connected_components(shuffled)
+    # Rank keys 0, 2, 3, 5 rise, but the row (2, 1) descends.
+    with pytest.raises(ValueError, match="layer 1 is not in colex order"):
+        betti_numbers(by_hand([[0, 1], [2, 1], [0, 3], [2, 3]]))
+    assert betti_numbers(by_hand([[0, 1], [1, 2], [0, 3], [2, 3]])).reduced_betti == (0, 1)
+
+
+def test_binomial_table_reaches_only_nonempty_layers():
+    # The 7-cube graph has no triangle, so layers 2..20 are empty; a table
+    # for 22 slots would need C(128, 22), which overflows 63 bits.
+    skel = enumerate_skeleton(SpaceSpec.hypercube(7, 1), 20)
+    assert betti_numbers(skel).reduced_betti == (0, 321) + (0,) * 19
