@@ -16,6 +16,8 @@ import numpy as np
 from .complexes import (
     SizeBudgetExceeded,
     Skeleton,
+    _layer_ranks,
+    _np_binom,
     _resolve_budget,
     _restrict,
     delete_vertex,
@@ -26,7 +28,14 @@ from .complexes import (
 )
 from .formulas import PredictionRecord, link_sphere_count, predicted_betti
 from .hamming import SpaceSpec
-from .homology import BettiVector, _facet_row_indices, betti_numbers
+from .homology import (
+    BettiVector,
+    _adjacency,
+    _check_unmarked,
+    _coface_reader,
+    _facet_row_indices,
+    betti_numbers,
+)
 from .oracle import betti_numbers_dense
 
 
@@ -238,32 +247,6 @@ class CollapseOutcome:
     residual: Skeleton | None = None
 
 
-def _coboundary_index(facet_rows: np.ndarray, n_lo: int):
-    """Coboundary columns of the layer below, as (entries, starts).
-
-    The CSR transpose of the facet rows of layer k+1: column c lists, in
-    ascending order, the cofaces of the c-th k-simplex, each with the sign
-    of the facet-row column t it came from.  One in-place sort of the
-    packed keys facet_row << shift | j << 1 | (t & 1) does the transpose;
-    the keys are distinct, because a coface meets each of its facets once.
-    """
-    n, width = facet_rows.shape
-    shift = (2 * n).bit_length()
-    if (n_lo - 1) << shift >= 1 << 63:
-        raise OverflowError(
-            f"coboundary keys of {n_lo} rows and {n} cofaces exceed 63 bits"
-        )
-    starts = np.zeros(n_lo + 1, dtype=np.int64)
-    np.cumsum(np.bincount(facet_rows.ravel(), minlength=n_lo), out=starts[1:])
-    keys = facet_rows << shift
-    keys |= (np.arange(n, dtype=np.int64) << 1)[:, None]
-    keys[:, 1::2] |= 1
-    keys = keys.ravel()
-    keys.sort()
-    keys &= (1 << shift) - 1
-    return keys, starts
-
-
 def greedy_collapse_probe(skel: Skeleton, target_dim: int,
                           budget: int = 1_000_000) -> CollapseOutcome:
     """Greedily remove free pairs until nothing remains above target_dim.
@@ -274,6 +257,11 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     moves cannot help, as they never change cofacet counts at or above the
     target.  Ties break toward the smallest dimension-local rank.  Requires
     a complete skeleton, else "exactly one cofacet" is not certifiable.
+
+    Cofacet counts come from the facet rows.  The one live cofacet of a free
+    face is read from the adjacency bitsets by the coface reader of the
+    homology sweep, which trusts colex order, so a skeleton not marked
+    closed first passes the sweep's check.
     """
     if not skel.complete_flag:
         raise ValueError("collapse probe requires a complete skeleton")
@@ -282,27 +270,23 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     top = skel.top_dimension()
     if top <= target_dim:
         return CollapseOutcome(top, "collapsed_to_target", 0, residual=skel)
-    counts = skel.counts
-
+    counts, nv = skel.counts, skel.num_vertices
+    table = _np_binom(nv, top + 1)
+    if not skel._closed:
+        _check_unmarked(skel, top, table)
+    keys = {k: _layer_ranks(skel.simplices[k], table)
+            for k in range(target_dim, top + 1)}
     facet_rows = {
-        k: _facet_row_indices(
-            skel.simplices[k], skel.layer_keys(k - 1), skel.num_vertices
-        )
+        k: _facet_row_indices(skel.simplices[k], keys[k - 1], nv)
         for k in range(target_dim + 1, top + 1)
     }
+    adj = _adjacency(skel.simplices[1], nv)
     alive = [np.ones(c, dtype=bool) for c in counts[: top + 1]]
-    cof_count: dict[int, np.ndarray] = {}
-    cofaces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    cof_count, cofaces, heaps = {}, {}, {}
     for k in range(target_dim, top):
-        entries, starts = _coboundary_index(facet_rows[k + 1], counts[k])
-        cof_count[k] = np.diff(starts)
-        cofaces[k] = (entries >> 1, starts)
-    heaps = {
-        k: [i for i in range(counts[k]) if cof_count[k][i] == 1]
-        for k in range(target_dim, top)
-    }
-    for h in heaps.values():
-        heapq.heapify(h)
+        cof_count[k] = np.bincount(facet_rows[k + 1].ravel(), minlength=counts[k])
+        cofaces[k] = _coface_reader(skel.simplices[k], keys[k + 1], adj, table, 2)
+        heaps[k] = np.flatnonzero(cof_count[k] == 1).tolist()  # sorted: a heap
 
     def on_death(layer: int, row: int) -> None:
         # a dying simplex stops being a cofacet of its facets
@@ -331,10 +315,7 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
         if pair is None:
             break
         k, trow = pair
-        rows, starts = cofaces[k]
-        srow = next(
-            j for j in rows[starts[trow] : starts[trow + 1]].tolist() if alive[k + 1][j]
-        )
+        srow = next(j for j in cofaces[k](trow) if alive[k + 1][j])
         alive[k][trow] = False
         alive[k + 1][srow] = False
         alive_above -= 1 if k == target_dim else 2

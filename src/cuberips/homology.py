@@ -15,19 +15,22 @@ neighbours v of its vertices, and their rows rise with v, so the lowest row
 of column s is s plus its smallest common neighbour: one AND of packed
 adjacency bitsets, one combinatorial-number-system key and one searchsorted
 against the sorted keys of layer k+1 (``_lowest_cofaces``).  A full column
-is enumerated the same way, in Python, only when the kernel reads it.  An
-entry whose new vertex lands in slot t carries the coefficient (-1)**t.
-One binomial table, as wide as the highest layer the sweep reaches, serves
-every key of a call.
+is enumerated the same way, in Python, only when the kernel reads it
+(``_coface_reader``); the collapse probe reads the cofaces of its free faces
+through the same reader.  An entry whose new vertex lands in slot t carries
+the coefficient (-1)**t.  One binomial table, as wide as the highest layer
+the sweep reaches, serves every key of a call.
 
 The cofaces come from the graph and the forest from the edge order, so the
 sweep trusts the skeleton to be closed under faces and in colex order.  The
-constructors that guarantee it mark the skeleton; on an unmarked one the
-sweep first checks that every row ascends and every layer's rank keys
-increase, and runs ``_facet_row_indices``, which finds, by one searchsorted
-per vertex position, the row in layer k-1 of every facet of layer k and
-raises when one is missing.  Boundary matrices, the integer SNF and the
-collapse probe use those facet rows too.
+constructors that guarantee it mark the skeleton.  On an unmarked one the
+sweep and the collapse probe first check that layer 0 lists the vertices
+in order (``connected_components`` checks that much too), that every row
+ascends and that every layer's rank keys increase, and then run
+``_facet_row_indices``, which finds, by one searchsorted per vertex
+position, the row in layer k-1 of every facet of layer k and raises when
+one is missing.  Boundary matrices, the integer SNF and the collapse probe
+use those facet rows too.
 
 One kernel, ``_reduce_index``, reduces every map above δ_0 for every prime.
 It walks the columns from last to first and takes each column's lowest row
@@ -223,24 +226,6 @@ def _reduce_index(low: np.ndarray, read, n_rows: int, p: int,
     return np.flatnonzero(owner >= 0)
 
 
-def _csr_columns(entries: np.ndarray, starts: np.ndarray, p: int, cleared: np.ndarray):
-    """(low, read) of the columns entries[starts[c]:starts[c+1]], leaving
-    out the columns in cleared.  An entry 2*row + s, in ascending row order,
-    stands for the coefficient (-1)**s in that row.  The sweep builds no
-    such matrix; this feeds an explicit one, as the kernel tests do, to
-    _reduce_index."""
-    low = np.full(len(starts) - 1, -1, dtype=np.int64)
-    full = np.flatnonzero(np.diff(starts) > 0)
-    low[full] = entries[starts[full]] >> 1
-    low[cleared] = -1
-
-    def read(c: int) -> dict[int, int]:
-        return {e >> 1: p - 1 if e & 1 else 1
-                for e in entries[starts[c] : starts[c + 1]].tolist()}
-
-    return low, read
-
-
 def _adjacency(edges: np.ndarray, nv: int) -> np.ndarray:
     """The graph of an edge layer, as an (nv, ceil(nv/64)) little-endian
     uint64 array whose row v has bit u set iff uv is an edge."""
@@ -305,12 +290,12 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
     return low
 
 
-def _implicit_columns(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
-                      table: np.ndarray, p: int, cleared: np.ndarray):
-    """(low, read) of the coboundary columns of the layer rows, whose
-    cofaces form the layer with sorted rank keys keys_hi, with no index
-    built.  adj is the graph from _adjacency and table an _np_binom table
-    with at least width + 2 columns; the columns in cleared are left out.
+def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
+                   table: np.ndarray, p: int):
+    """read(c): the coboundary column of the simplex rows[c] over GF(p), as
+    a {row: coeff} dict with its rows in ascending order, where the cofaces
+    form the layer with sorted rank keys keys_hi.  adj is the graph from
+    _adjacency and table an _np_binom table with at least width + 2 columns.
 
     A column s reads its cofaces s + v over the common neighbours v of its
     vertices, with coefficient (-1)**t for t = #{s_i < v}; one searchsorted
@@ -318,10 +303,7 @@ def _implicit_columns(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
     Most maps read no column, so read makes its Python copies of adj and of
     the binomial table at its first call.
     """
-    n, width = rows.shape
-    live = np.ones(n, dtype=bool)
-    live[cleared] = False
-    low = _lowest_cofaces(rows, keys_hi, adj, table, np.flatnonzero(live))
+    width = rows.shape[1]
     last = len(keys_hi) - 1
     ints = binom = None
 
@@ -356,17 +338,22 @@ def _implicit_columns(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
         return {r: p - 1 if t & 1 else 1
                 for r, t, h in zip(idx.tolist(), slot, hit.tolist()) if h}
 
-    return low, read
+    return read
 
 
 def _coboundary_columns(skel: Skeleton, k: int, p: int, cleared: np.ndarray,
                         adj: np.ndarray, table: np.ndarray):
-    """(low, read) of δ_k for k >= 1, leaving out the columns in cleared;
-    adj is _adjacency of skel's edges and table an _np_binom table with at
-    least k + 3 columns.  δ_0 is not reduced: see _spanning_forest.
+    """(low, read) of δ_k for k >= 1, leaving out the columns in cleared,
+    with no index built; adj is _adjacency of skel's edges and table an
+    _np_binom table with at least k + 3 columns.  δ_0 is not reduced: see
+    _spanning_forest.
     """
+    rows = skel.simplices[k]
     keys_hi = _layer_ranks(skel.simplices[k + 1], table)
-    return _implicit_columns(skel.simplices[k], keys_hi, adj, table, p, cleared)
+    live = np.ones(len(rows), dtype=bool)
+    live[cleared] = False
+    low = _lowest_cofaces(rows, keys_hi, adj, table, np.flatnonzero(live))
+    return low, _coface_reader(rows, keys_hi, adj, table, p)
 
 
 def _spanning_forest(edges: np.ndarray, nv: int) -> np.ndarray:
@@ -428,18 +415,21 @@ def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
         )
 
 
-def _check_unmarked(skel: Skeleton, top: int, table: np.ndarray) -> None:
-    """Raise ValueError unless layers 0..top of skel, a skeleton not marked
-    closed, ascend within rows, increase in rank keys and are closed under
-    faces."""
-    keys_lo = None
-    for k in range(top + 1):
+def _check_unmarked(skel: Skeleton, top: int, table: np.ndarray | None) -> None:
+    """Raise ValueError unless skel, a skeleton not marked closed, has the
+    vertices 0..nv-1 in order as layer 0, and its layers 1..top ascend
+    within rows, increase in rank keys and are closed under faces.  table
+    is an _np_binom table with at least top + 2 columns, unread at top 0."""
+    nv = skel.num_vertices
+    if not np.array_equal(skel.simplices[0], np.arange(nv)[:, None]):
+        raise ValueError("layer 0 is not the vertices in order")
+    keys_lo = np.arange(nv)  # the rank key of vertex v is C(v, 1) = v
+    for k in range(1, top + 1):
         rows = skel.simplices[k]
         keys = _layer_ranks(rows, table)
         if (rows[:, 1:] <= rows[:, :-1]).any() or (keys[1:] <= keys[:-1]).any():
             raise ValueError(f"layer {k} is not in colex order")
-        if k:
-            _facet_row_indices(rows, keys_lo, skel.num_vertices)
+        _facet_row_indices(rows, keys_lo, nv)
         keys_lo = keys
 
 
@@ -544,6 +534,8 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
 def connected_components(skel: Skeleton) -> int:
     """Number of connected components of the stored 1-skeleton: the number
     of vertices less the size of its spanning forest."""
+    if not skel._closed:
+        _check_unmarked(skel, 0, None)
     if skel.dim_cap == 0:
         return skel.num_vertices
     return skel.num_vertices - len(_spanning_forest(skel.simplices[1], skel.num_vertices))

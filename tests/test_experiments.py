@@ -5,9 +5,11 @@ import pytest
 
 from cuberips import (
     SizeBudgetExceeded,
+    Skeleton,
     SpaceSpec,
     betti_numbers,
     enumerate_skeleton,
+    flag_skeleton_from_graph,
     greedy_collapse_probe,
     kneser_check,
     link_homotopy_check,
@@ -193,6 +195,108 @@ def test_collapse_certifies_cross_polytope_top_dimension(q3r2):
     out = greedy_collapse_probe(q3r2, 2)
     assert out.status == "stuck"
     assert out.reached_dim == 3
+
+
+def _collapse_reference(skel, target: int, budget: int):
+    """The greedy collapse over simplices as vertex tuples in a set.  Each
+    move takes, among the live simplices of dimension at least target with
+    one live cofacet, one of the highest dimension and then of the smallest
+    row, and removes it with that cofacet.  Returns the status, the number
+    of moves and the live simplices of each layer in row order."""
+    top = skel.top_dimension()
+    layers = [[tuple(row) for row in skel.simplices[k].tolist()] for k in range(top + 1)]
+    cofacets = {s: [] for layer in layers for s in layer}
+    for layer in layers[1:]:
+        for c in layer:
+            for t in range(len(c)):
+                cofacets[c[:t] + c[t + 1 :]].append(c)
+    alive = set(cofacets)
+
+    def free_pair():
+        for k in range(top - 1, target - 1, -1):
+            for s in layers[k]:
+                live = [c for c in cofacets[s] if c in alive]
+                if s in alive and len(live) == 1:
+                    return s, live[0]
+        return None
+
+    moves = 0
+    while any(len(s) > target + 1 for s in alive) and moves < budget:
+        pair = free_pair()
+        if pair is None:
+            break
+        alive.difference_update(pair)
+        moves += 1
+    if not any(len(s) > target + 1 for s in alive):
+        status = "collapsed_to_target"
+    elif moves >= budget:
+        status = "budget_exceeded"
+    else:
+        status = "stuck"
+    return status, moves, [[s for s in layer if s in alive] for layer in layers]
+
+
+def _random_facet_complex(rng) -> Skeleton:
+    """A complete complex closed downward from a few random facets; many
+    are not flag."""
+    nv = int(rng.integers(3, 9))
+    facets = [
+        rng.choice(nv, size=int(rng.integers(2, min(nv, 5) + 1)), replace=False)
+        for _ in range(int(rng.integers(3, 12)))
+    ]
+    return skeleton_from_facets(facets)
+
+
+def test_collapse_matches_a_set_based_reference():
+    rng = np.random.default_rng(29)
+    flag = []
+    while len(flag) < 40:
+        skel = random_flag_skeleton(rng)
+        if skel.complete_flag:
+            flag.append(skel)
+    facet = [_random_facet_complex(rng) for _ in range(40)]
+    not_flag = sum(
+        flag_skeleton_from_graph(range(skel.num_vertices), skel.simplices[1].tolist(),
+                                 skel.dim_cap).counts != skel.counts
+        for skel in facet
+    )
+    assert not_flag >= 10
+    statuses = set()
+    for skel in flag + facet + [enumerate_skeleton(SpaceSpec.hypercube(4, 2), 5)]:
+        for target in (0, 1, 2):
+            for budget in (3, 1_000_000):
+                out = greedy_collapse_probe(skel, target, budget=budget)
+                status, moves, layers = _collapse_reference(skel, target, budget)
+                statuses.add(status)
+                assert (out.status, out.free_face_trace_length) == (status, moves)
+                # The residual renumbers the surviving vertices in order.
+                kept = [v for (v,) in layers[0]]
+                new = {v: i for i, v in enumerate(kept)}
+                assert out.residual.verts.tolist() == skel.verts[kept].tolist()
+                got = [rows.tolist() for rows in out.residual.simplices if len(rows)]
+                want = [[[new[v] for v in s] for s in layer] for layer in layers if layer]
+                assert got == want
+    assert statuses == {"collapsed_to_target", "budget_exceeded", "stuck"}
+
+
+def test_collapse_checks_an_unmarked_skeleton_as_the_sweep_does():
+    def filled_triangle(edges) -> Skeleton:
+        return Skeleton(
+            verts=np.arange(3),
+            simplices=[np.arange(3, dtype=np.uint32)[:, None],
+                       np.array(edges, dtype=np.uint32),
+                       np.array([[0, 1, 2]], dtype=np.uint32)],
+            dim_cap=2,
+            complete_flag=True,
+        )
+
+    # Closed under faces, but the edges are not in colex order.
+    shuffled = filled_triangle([[0, 2], [0, 1], [1, 2]])
+    for probe in (betti_numbers, lambda skel: greedy_collapse_probe(skel, 0)):
+        with pytest.raises(ValueError, match="layer 1 is not in colex order"):
+            probe(shuffled)
+    out = greedy_collapse_probe(filled_triangle([[0, 1], [0, 2], [1, 2]]), 0)
+    assert (out.status, out.free_face_trace_length) == ("collapsed_to_target", 3)
 
 
 def test_survey_grid_all_match():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuberips import experiments, homology
+from cuberips import homology
 from cuberips import (
     Skeleton,
     SpaceSpec,
@@ -157,17 +157,6 @@ def test_missing_facet_is_found_at_every_position(t):
         homology._facet_row_indices(np.array([row], dtype=np.uint32), keys_lo, 16)
 
 
-def test_coboundary_keys_beyond_63_bits_raise_before_allocating():
-    # One coface needs 2 low bits, so 2**62 rows below leave no room; starts
-    # alone would take 32 EiB if the guard came after it.  The facet rows
-    # must be untouched too.
-    n_lo = 1 << 62
-    facet_rows = np.array([[0, 1]], dtype=np.int64)
-    with pytest.raises(OverflowError, match=f"{n_lo} rows and 1 cofaces"):
-        experiments._coboundary_index(facet_rows, n_lo)
-    assert facet_rows.tolist() == [[0, 1]]
-
-
 def _random_index(rng, n_rows, n_cols, p):
     """A random sparse matrix as (entries, starts) and as a dense array."""
     dense = np.zeros((n_rows, n_cols), dtype=np.int64)
@@ -186,7 +175,7 @@ def _check_reduction(entries, starts, p, dense, cleared=()):
     # Every reduction that takes lowest rows as pivots ends with the same
     # ones, in any column order: row i is one exactly when rows 0..i have a
     # larger rank than rows 0..i-1.
-    low, read = homology._csr_columns(entries, starts, p, np.array(cleared, dtype=np.int64))
+    low, read = _csr_columns(entries, starts, p, np.array(cleared, dtype=np.int64))
     pivot_rows = homology._reduce_index(low, read, len(dense), p)
     assert pivot_rows.dtype == np.int64
     assert len(pivot_rows) == gf_rank(dense, p)
@@ -213,7 +202,7 @@ def test_reduce_index_reduces_onto_a_later_owner(p):
     columns = [[2, 5], [1, 2], [1, 3]]
     entries = np.array([2 * r for col in columns for r in col], dtype=np.int64)
     starts = np.array([0, 2, 4, 6], dtype=np.int64)
-    low, read = homology._csr_columns(entries, starts, p, np.zeros(0, dtype=np.int64))
+    low, read = _csr_columns(entries, starts, p, np.zeros(0, dtype=np.int64))
     got = homology._reduce_index(low, read, 6, p)
     assert got.tolist() == [1, 2, 3]
 
@@ -365,9 +354,8 @@ def test_vertex_coboundary_pivots_are_the_joining_edges(p):
         facet_rows = homology._facet_row_indices(
             skel.simplices[1], skel.layer_keys(0), n_vertices
         )
-        low, read = homology._csr_columns(
-            *experiments._coboundary_index(facet_rows, n_vertices),
-            p, np.zeros(0, dtype=np.int64),
+        low, read = _csr_columns(
+            *_coboundary_reference(facet_rows, n_vertices), p, np.zeros(0, dtype=np.int64)
         )
         pivot_rows = homology._reduce_index(low, read, n_edges, p)
         forest = homology._spanning_forest(skel.simplices[1], n_vertices)
@@ -477,6 +465,22 @@ def _coboundary_reference(facet_rows: np.ndarray, n_lo: int):
     return order // width << 1 | order % width & 1, starts
 
 
+def _csr_columns(entries: np.ndarray, starts: np.ndarray, p: int, cleared: np.ndarray):
+    """(low, read) of the columns entries[starts[c]:starts[c+1]], leaving
+    out the columns in cleared, for _reduce_index.  An entry 2*row + s, in
+    ascending row order, stands for the coefficient (-1)**s in that row."""
+    low = np.full(len(starts) - 1, -1, dtype=np.int64)
+    full = np.flatnonzero(np.diff(starts) > 0)
+    low[full] = entries[starts[full]] >> 1
+    low[cleared] = -1
+
+    def read(c: int) -> dict[int, int]:
+        return {e >> 1: p - 1 if e & 1 else 1
+                for e in entries[starts[c] : starts[c + 1]].tolist()}
+
+    return low, read
+
+
 def test_index_matches_slow_references():
     rng = np.random.default_rng(17)
     skeletons = [random_flag_skeleton(rng) for _ in range(30)]
@@ -487,7 +491,7 @@ def test_index_matches_slow_references():
         flag = flag_skeleton_from_graph(range(skel.num_vertices), edges, skel.dim_cap)
         not_flag += flag.counts != skel.counts
         for k in range(1, skel.dim_cap + 1):
-            n, n_lo = skel.counts[k], skel.counts[k - 1]
+            n = skel.counts[k]
             empty += n == 0
             one_row += n == 1
             rows = homology._facet_row_indices(
@@ -495,19 +499,13 @@ def test_index_matches_slow_references():
             )
             assert rows.dtype == np.int64 and rows.shape == (n, k + 1)
             assert rows.tolist() == _facet_rows_reference(skel, k)
-            reference = rows.copy()
-            got = experiments._coboundary_index(rows, n_lo)
-            assert (rows == reference).all()
-            for a, b in zip(got, _coboundary_reference(reference, n_lo)):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert (a == b).all()
     assert min(not_flag, empty, one_row) > 0
 
 
 def _assert_columns_match_the_index(skel: Skeleton, p: int, rng) -> None:
     """Every map's (low, read) in the sweep above δ_0 equals the CSR
-    transpose of _facet_row_indices, with a random fifth of the columns
-    cleared."""
+    transpose of _facet_row_indices by a stable argsort, with a random fifth
+    of the columns cleared."""
     if skel.dim_cap == 0:
         return
     nv = skel.num_vertices
@@ -521,8 +519,8 @@ def _assert_columns_match_the_index(skel: Skeleton, p: int, rng) -> None:
         facet_rows = homology._facet_row_indices(
             skel.simplices[k + 1], skel.layer_keys(k), nv
         )
-        want_low, want_read = homology._csr_columns(
-            *experiments._coboundary_index(facet_rows, n), p, cleared
+        want_low, want_read = _csr_columns(
+            *_coboundary_reference(facet_rows, n), p, cleared
         )
         low, read = homology._coboundary_columns(skel, k, p, cleared, adj, table)
         assert low.dtype == np.int64
@@ -621,12 +619,34 @@ def test_rank_above_matrix_size_raises(monkeypatch):
 
 
 def test_the_sweep_reduces_no_explicit_index(monkeypatch):
+    # An explicit index lists every column's cofaces: by transposing the
+    # facet rows, or by reading every column.  On a skeleton built closed
+    # the sweep lists no facet row, and it reads only the columns that its
+    # kernel reports reading.
     def unreachable(*args):
         raise AssertionError("the sweep built an explicit index")
 
-    monkeypatch.setattr(experiments, "_coboundary_index", unreachable)
-    monkeypatch.setattr(homology, "_csr_columns", unreachable)
-    assert not hasattr(homology, "_coboundary_index")
+    real_reader, real_reduce = homology._coface_reader, homology._reduce_index
+    reads, kernel_reads = [], []
+
+    def counting_reader(*args):
+        read = real_reader(*args)
+
+        def counted(c):
+            reads.append(c)
+            return read(c)
+
+        return counted
+
+    def reporting_reduce(low, read, n_rows, p, stats=None):
+        stats = {} if stats is None else stats
+        pivot_rows = real_reduce(low, read, n_rows, p, stats)
+        kernel_reads.append(stats["read"])
+        return pivot_rows
+
+    monkeypatch.setattr(homology, "_facet_row_indices", unreachable)
+    monkeypatch.setattr(homology, "_coface_reader", counting_reader)
+    monkeypatch.setattr(homology, "_reduce_index", reporting_reduce)
     q4r2 = enumerate_skeleton(SpaceSpec.hypercube(4, 2), 5)
     assert betti_numbers(q4r2).reduced_betti == (0, 0, 0, three_sphere_count(16), 0, 0)
     assert betti_numbers(skeleton_from_facets(RP2_FACETS), p=3).reduced_betti == (0, 0, 0)
@@ -635,6 +655,7 @@ def test_the_sweep_reduces_no_explicit_index(monkeypatch):
     for _ in range(10):
         skel = random_flag_skeleton(rng)
         assert betti_numbers(skel).reduced_betti == betti_numbers_dense(skel).reduced_betti
+    assert 0 < len(reads) == sum(kernel_reads)
 
 
 def test_unmarked_skeleton_out_of_colex_order_raises():
@@ -657,6 +678,27 @@ def test_unmarked_skeleton_out_of_colex_order_raises():
     with pytest.raises(ValueError, match="layer 1 is not in colex order"):
         betti_numbers(by_hand([[0, 1], [2, 1], [0, 3], [2, 3]]))
     assert betti_numbers(by_hand([[0, 1], [1, 2], [0, 3], [2, 3]])).reduced_betti == (0, 1)
+
+
+def test_layer_zero_must_list_the_vertices():
+    def by_hand(nv, layer0) -> Skeleton:
+        return Skeleton(
+            verts=np.arange(nv),
+            simplices=[np.array(layer0, dtype=np.uint32)],
+            dim_cap=0,
+            complete_flag=True,
+        )
+
+    # One row too many, one too few, and a row naming no vertex: each used
+    # to give a wrong count or NumPy's IndexError.
+    for skel in (by_hand(2, [[0], [1], [2]]), by_hand(3, [[0], [1]]),
+                 by_hand(3, [[0], [1], [5]])):
+        with pytest.raises(ValueError, match="layer 0 is not the vertices in order"):
+            betti_numbers(skel)
+        with pytest.raises(ValueError, match="layer 0 is not the vertices in order"):
+            connected_components(skel)
+    assert betti_numbers(by_hand(3, [[0], [1], [2]])).reduced_betti == (2,)
+    assert connected_components(by_hand(3, [[0], [1], [2]])) == 3
 
 
 def test_binomial_table_reaches_only_nonempty_layers():

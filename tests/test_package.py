@@ -17,3 +17,36 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_private_definition_is_used_by_the_package():
+    # A module-level private function or class that no other code of the
+    # package names is dead, or is kept for the tests, which should hold
+    # such code themselves.
+    root = Path(cuberips.__file__).parent
+    statements = [
+        (path.name, node)
+        for path in sorted(root.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+
+    def names(node) -> set[str]:
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                out.update(alias.name for alias in sub.names)
+        return out
+
+    used = [names(node) for _, node in statements]
+    unused = [
+        f"{module}:{node.name}"
+        for i, (module, node) in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not any(node.name in other for j, other in enumerate(used) if j != i)
+    ]
+    assert unused == []
