@@ -7,6 +7,12 @@ rows are sorted colexicographically — the order of combinatorial-number-system
 ranks.  These uint32 row arrays are the only simplex format: enumeration
 produces them directly and homology reads them.
 
+Every flag skeleton — of a Hamming space, an explicit graph, a link or a
+Kneser complement — is built by one constructor, ``_flag_complex``, from
+the sorted labels and two arrays of edge positions a < b.  Each caller
+finds its edges in NumPy, and ``_pack_graph``, the one packer of graph
+bits, turns them into uint64 adjacency rows.
+
 Enumeration grows one layer at a time.  Next to its rows, layer k keeps
 packed candidate bitsets: row j of ``cand`` has bit u set when u is above
 the top vertex of simplex j and adjacent to all its vertices.  Each set bit
@@ -25,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hamming import SpaceSpec, hamming_distance, neighbor_masks, neighborhood
+from .hamming import SpaceSpec, _flips, hamming_distance, neighborhood
 
 DEFAULT_BUDGET = 1 << 28
 _RANK_LIMIT = (1 << 63) - 1
@@ -86,8 +92,8 @@ class Skeleton:
     ``simplices[k]`` is a (counts[k], k+1) uint32 array for every
     0 <= k <= dim_cap (empty beyond the top dimension).  ``complete_flag`` is
     true when dim_cap is at least the top dimension of the full complex, i.e.
-    nothing was truncated away.  ``source`` describes provenance: a SpaceSpec
-    for metric enumerations, or a tuple tag for derived complexes.
+    nothing was truncated away.  ``source`` is the SpaceSpec of a metric
+    enumeration, which the text export reads, and None otherwise.
     ``_closed`` marks a skeleton built closed under faces and in colex
     order, which homology then need not check; a skeleton built by hand is
     unmarked.
@@ -97,8 +103,7 @@ class Skeleton:
     simplices: list[np.ndarray]
     dim_cap: int
     complete_flag: bool
-    source: object = None
-    _keys: dict = field(default_factory=dict, init=False, repr=False)
+    source: SpaceSpec | None = None
     _closed: bool = field(default=False, init=False, repr=False)
 
     @property
@@ -117,12 +122,18 @@ class Skeleton:
         return -1
 
     def layer_keys(self, k: int) -> np.ndarray:
-        """Sorted int64 rank keys of the dimension-k layer."""
-        if k not in self._keys:
-            self._keys[k] = _layer_ranks(
-                self.simplices[k], _np_binom(self.num_vertices, k + 1)
-            )
-        return self._keys[k]
+        """Sorted int64 rank keys of the dimension-k layer.
+
+        On a skeleton not marked closed, raises ValueError unless the rows
+        ascend and their keys increase: the readers of the keys search them.
+        """
+        rows = self.simplices[k]
+        keys = _layer_ranks(rows, _np_binom(self.num_vertices, k + 1))
+        if not self._closed and (
+            (rows[:, 1:] <= rows[:, :-1]).any() or (keys[1:] <= keys[:-1]).any()
+        ):
+            raise ValueError(f"layer {k} is not in colex order")
+        return keys
 
     def has_simplex(self, sigma) -> bool:
         """Membership test for a simplex given by external labels."""
@@ -144,7 +155,7 @@ def _positions(skel: Skeleton, labels) -> np.ndarray:
     return np.searchsorted(skel.verts, labels)
 
 
-def _restrict(skel: Skeleton, keep, source) -> Skeleton:
+def _restrict(skel: Skeleton, keep) -> Skeleton:
     """The subcomplex made of the rows that keep[k] selects in layer k.
 
     keep[k] is a boolean mask over skel.simplices[k], and the selection must
@@ -161,21 +172,19 @@ def _restrict(skel: Skeleton, keep, source) -> Skeleton:
         ],
         dim_cap=len(keep) - 1,
         complete_flag=skel.complete_flag,
-        source=source,
     )
     out._closed = skel._closed
     return out
 
 
-def _upper_adjacency(space: SpaceSpec) -> np.ndarray:
-    """neighbor_masks(space) packed as an (m, ceil(m/64)) little-endian
-    uint64 array, keeping in row v only the neighbours above v."""
-    words = -(-space.m // 64)
-    buf = b"".join(
-        (mask >> (v + 1) << (v + 1)).to_bytes(8 * words, "little")
-        for v, mask in enumerate(neighbor_masks(space))
-    )
-    return np.frombuffer(buf, dtype="<u8").reshape(space.m, words)
+def _pack_graph(a, b, nv: int) -> np.ndarray:
+    """The graph on nv vertices with an arc from a[i] to b[i] for every i,
+    as an (nv, ceil(nv/64)) little-endian uint64 array whose row v has bit
+    u set iff some arc goes from v to u.  Repeated arcs are harmless."""
+    out = np.zeros((nv, -(-nv // 64)), dtype="<u8")
+    bit = np.left_shift(np.uint64(1), (b & 63).astype(np.uint64))
+    np.bitwise_or.at(out, (a, b >> 6), bit)
+    return out
 
 
 def _next_layer(rows, cand, up, size):
@@ -225,11 +234,11 @@ def _flag_layers(up, dim_cap, budget=None):
     """Breadth-first clique expansion over packed candidate bitsets.
 
     up is an (nv, ceil(nv/64)) little-endian uint64 array whose row v has
-    bit u set iff u > v and uv is an edge.  Returns (layers, counts,
-    complete); layers[k] holds the uint32 rows of dimension k for every
-    k <= dim_cap (empty above the top dimension).  Each layer's size is
-    known before it is built, so a budget overrun aborts cleanly with the
-    counts of the finished layers.
+    bit u set iff u > v and uv is an edge.  Returns (layers, complete);
+    layers[k] holds the uint32 rows of dimension k for every k <= dim_cap
+    (empty above the top dimension).  Each layer's size is known before it
+    is built, so a budget overrun aborts cleanly with the counts of the
+    finished layers.
     """
     budget = _resolve_budget(budget)
     nv = len(up)
@@ -249,7 +258,19 @@ def _flag_layers(up, dim_cap, budget=None):
         size = int(np.bitwise_count(cand).sum())
         if size == 0:
             break
-    return layers, counts, size == 0
+    return layers, size == 0
+
+
+def _flag_complex(verts: np.ndarray, a, b, dim_cap: int, budget) -> Skeleton:
+    """The flag complex, up to dimension dim_cap, of the graph on the sorted
+    labels verts with an edge between positions a[i] < b[i] for every i.
+    Every flag skeleton is built here, and marked closed."""
+    if dim_cap < 0:
+        raise ValueError("dim_cap must be nonnegative")
+    layers, complete = _flag_layers(_pack_graph(a, b, len(verts)), dim_cap, budget)
+    skel = Skeleton(verts, layers, dim_cap, complete)
+    skel._closed = True
+    return skel
 
 
 def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
@@ -259,64 +280,43 @@ def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
     Raises SizeBudgetExceeded if the total simplex count would pass budget
     (default 2**28).
     """
-    if dim_cap < 0:
-        raise ValueError("dim_cap must be nonnegative")
-    layers, _, complete = _flag_layers(_upper_adjacency(space), dim_cap, budget)
-    skel = Skeleton(
-        verts=np.arange(space.m, dtype=np.int64),
-        simplices=layers,
-        dim_cap=dim_cap,
-        complete_flag=complete,
-        source=space,
-    )
-    skel._closed = True
+    # The neighbours u of v are v ^ f for the flips f; each edge is kept
+    # once, from its lower end v < u < m.
+    v = np.arange(space.m, dtype=np.int64)[:, None]
+    u = v ^ np.array(_flips(space), dtype=np.int64)
+    edge = (v < u) & (u < space.m)
+    skel = _flag_complex(np.arange(space.m, dtype=np.int64),
+                         np.broadcast_to(v, u.shape)[edge], u[edge], dim_cap, budget)
+    skel.source = space
     return skel
 
 
-def flag_skeleton_from_graph(
-    labels, edges, dim_cap: int, budget=None, source=None
-) -> Skeleton:
-    """Flag complex of an explicit graph (labels sorted, edges as label pairs)."""
-    if dim_cap < 0:
-        raise ValueError("dim_cap must be nonnegative")
-    verts = np.asarray(sorted(int(v) for v in labels), dtype=np.int64)
-    if len(np.unique(verts)) != len(verts):
+def flag_skeleton_from_graph(labels, edges, dim_cap: int, budget=None) -> Skeleton:
+    """Flag complex of an explicit graph: distinct labels, and edges as
+    pairs of labels in either order, repeats allowed."""
+    verts = np.sort(np.array(list(labels), dtype=np.int64))
+    if (verts[1:] == verts[:-1]).any():
         raise ValueError("labels must be distinct")
-    lookup = {int(v): i for i, v in enumerate(verts)}
-    nv = len(verts)
-    upper = np.zeros((nv, 64 * -(-nv // 64)), dtype=bool)
-    for a, b in edges:
-        if a == b:
+    pairs = np.array(list(edges), dtype=np.int64)
+    pairs = pairs.reshape(len(pairs), 2)
+    loop = pairs[:, 0] == pairs[:, 1]
+    bad = loop | ~np.isin(pairs, verts).all(axis=1)
+    if bad.any():
+        j = int(np.argmax(bad))
+        a, b = pairs[j].tolist()
+        if loop[j]:
             raise ValueError(f"loop edge at {a}")
-        try:
-            ia, ib = sorted((lookup[int(a)], lookup[int(b)]))
-        except KeyError as err:
-            raise ValueError(f"edge ({a}, {b}) uses an unknown label") from err
-        upper[ia, ib] = True
-    up = np.packbits(upper, axis=1, bitorder="little").view("<u8")
-    layers, _, complete = _flag_layers(up, dim_cap, budget)
-    skel = Skeleton(
-        verts=verts,
-        simplices=layers,
-        dim_cap=dim_cap,
-        complete_flag=complete,
-        source=("graph", nv) if source is None else source,
-    )
-    skel._closed = True
-    return skel
+        raise ValueError(f"edge ({a}, {b}) uses an unknown label")
+    pos = np.searchsorted(verts, pairs)
+    return _flag_complex(verts, pos.min(axis=1), pos.max(axis=1), dim_cap, budget)
 
 
 def link_complex(space: SpaceSpec, v: int, dim_cap: int, budget=None) -> Skeleton:
     """Flag complex induced on the neighbors of v (v itself excluded)."""
-    nbrs = sorted(neighborhood(space, v))
-    edges = [
-        (a, b)
-        for a, b in combinations(nbrs, 2)
-        if hamming_distance(a, b) <= space.r
-    ]
-    return flag_skeleton_from_graph(
-        nbrs, edges, dim_cap, budget=budget, source=("link", space, int(v))
-    )
+    nbrs = np.array(sorted(neighborhood(space, v)), dtype=np.int64)
+    a, b = np.triu_indices(len(nbrs), 1)
+    near = np.bitwise_count(nbrs[a] ^ nbrs[b]) <= space.r
+    return _flag_complex(nbrs, a[near], b[near], dim_cap, budget)
 
 
 def kneser_independence_complex(n: int, dim_cap: int, budget=None) -> Skeleton:
@@ -327,19 +327,15 @@ def kneser_independence_complex(n: int, dim_cap: int, budget=None) -> Skeleton:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    pairs = [(a, b) for b in range(n) for a in range(b)]
+    lo, hi = np.array([(x, y) for y in range(n) for x in range(y)]).T
     # independence complex of the Kneser graph = flag complex of its complement
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(pairs)), 2)
-        if set(pairs[i]) & set(pairs[j])
-    ]
-    return flag_skeleton_from_graph(
-        range(len(pairs)), edges, dim_cap, budget=budget, source=("kneser", n)
-    )
+    a, b = np.triu_indices(len(lo), 1)
+    meet = (lo[a] == lo[b]) | (lo[a] == hi[b]) | (hi[a] == lo[b]) | (hi[a] == hi[b])
+    return _flag_complex(np.arange(len(lo), dtype=np.int64), a[meet], b[meet],
+                         dim_cap, budget)
 
 
-def skeleton_from_facets(facets, dim_cap=None, source=None) -> Skeleton:
+def skeleton_from_facets(facets, dim_cap=None) -> Skeleton:
     """Build a skeleton from explicit top simplices (closed downward)."""
     facets = [tuple(sorted(int(v) for v in f)) for f in facets]
     if not facets or any(not f for f in facets):
@@ -364,7 +360,6 @@ def skeleton_from_facets(facets, dim_cap=None, source=None) -> Skeleton:
         simplices=sims,
         dim_cap=dim_cap,
         complete_flag=dim_cap >= top,
-        source=source or ("facets", len(facets)),
     )
     skel._closed = True
     return skel
@@ -374,8 +369,7 @@ def delete_vertex(skel: Skeleton, v: int) -> Skeleton:
     """Subcomplex on all vertices except label v."""
     keep = np.ones(skel.num_vertices, dtype=bool)
     keep[_positions(skel, [v])] = False
-    return _restrict(skel, [keep[rows].all(axis=1) for rows in skel.simplices],
-                     ("delete", skel.source, int(v)))
+    return _restrict(skel, [keep[rows].all(axis=1) for rows in skel.simplices])
 
 
 def induced_subcomplex(skel: Skeleton, vs) -> Skeleton:
@@ -383,8 +377,7 @@ def induced_subcomplex(skel: Skeleton, vs) -> Skeleton:
     want = sorted({int(v) for v in vs})
     keep = np.zeros(skel.num_vertices, dtype=bool)
     keep[_positions(skel, want)] = True
-    return _restrict(skel, [keep[rows].all(axis=1) for rows in skel.simplices],
-                     ("induced", skel.source, tuple(want)))
+    return _restrict(skel, [keep[rows].all(axis=1) for rows in skel.simplices])
 
 
 def star_cluster(skel: Skeleton, sigma) -> Skeleton:
@@ -404,7 +397,6 @@ def star_cluster(skel: Skeleton, sigma) -> Skeleton:
     return _restrict(
         skel,
         [closed[:, rows].all(axis=2).any(axis=0) for rows in skel.simplices],
-        ("star_cluster", skel.source, sigma),
     )
 
 

@@ -273,7 +273,7 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     counts, nv = skel.counts, skel.num_vertices
     table = _np_binom(nv, top + 1)
     if not skel._closed:
-        _check_unmarked(skel, top, table)
+        _check_unmarked(skel, top)
     keys = {k: _layer_ranks(skel.simplices[k], table)
             for k in range(target_dim, top + 1)}
     facet_rows = {
@@ -331,8 +331,7 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
         status = "stuck"
 
     reached = max(k for k in range(top + 1) if alive[k].any())
-    residual = _restrict(skel, alive[: reached + 1],
-                         ("collapse", skel.source, int(target_dim)))
+    residual = _restrict(skel, alive[: reached + 1])
     return CollapseOutcome(
         reached_dim=reached,
         status=status,

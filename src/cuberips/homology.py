@@ -30,7 +30,8 @@ ascends and that every layer's rank keys increase, and then run
 ``_facet_row_indices``, which finds, by one searchsorted per vertex
 position, the row in layer k-1 of every facet of layer k and raises when
 one is missing.  Boundary matrices, the integer SNF and the collapse probe
-use those facet rows too.
+use those facet rows too; the first two search the rank keys of
+``Skeleton.layer_keys``, which checks the order of an unmarked layer.
 
 One kernel, ``_reduce_index``, reduces every map above δ_0 for every prime.
 It walks the columns from last to first and takes each column's lowest row
@@ -52,7 +53,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Skeleton, _layer_ranks, _np_binom, enumerate_skeleton
+from .complexes import (
+    Skeleton,
+    _layer_ranks,
+    _np_binom,
+    _pack_graph,
+    enumerate_skeleton,
+)
 from .hamming import SpaceSpec
 
 # Columns per block in _lowest_cofaces: 2**16 keeps its temporaries at a
@@ -229,10 +236,8 @@ def _reduce_index(low: np.ndarray, read, n_rows: int, p: int,
 def _adjacency(edges: np.ndarray, nv: int) -> np.ndarray:
     """The graph of an edge layer, as an (nv, ceil(nv/64)) little-endian
     uint64 array whose row v has bit u set iff uv is an edge."""
-    dense = np.zeros((nv, 64 * -(-nv // 64)), dtype=bool)
     a, b = edges.T
-    dense[a, b] = dense[b, a] = True
-    return np.packbits(dense, axis=1, bitorder="little").view("<u8")
+    return _pack_graph(np.concatenate([a, b]), np.concatenate([b, a]), nv)
 
 
 def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
@@ -415,21 +420,18 @@ def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
         )
 
 
-def _check_unmarked(skel: Skeleton, top: int, table: np.ndarray | None) -> None:
+def _check_unmarked(skel: Skeleton, top: int) -> None:
     """Raise ValueError unless skel, a skeleton not marked closed, has the
     vertices 0..nv-1 in order as layer 0, and its layers 1..top ascend
-    within rows, increase in rank keys and are closed under faces.  table
-    is an _np_binom table with at least top + 2 columns, unread at top 0."""
+    within rows and increase in rank keys, which Skeleton.layer_keys checks,
+    and are closed under faces."""
     nv = skel.num_vertices
     if not np.array_equal(skel.simplices[0], np.arange(nv)[:, None]):
         raise ValueError("layer 0 is not the vertices in order")
     keys_lo = np.arange(nv)  # the rank key of vertex v is C(v, 1) = v
     for k in range(1, top + 1):
-        rows = skel.simplices[k]
-        keys = _layer_ranks(rows, table)
-        if (rows[:, 1:] <= rows[:, :-1]).any() or (keys[1:] <= keys[:-1]).any():
-            raise ValueError(f"layer {k} is not in colex order")
-        _facet_row_indices(rows, keys_lo, nv)
+        keys = skel.layer_keys(k)
+        _facet_row_indices(skel.simplices[k], keys_lo, nv)
         keys_lo = keys
 
 
@@ -453,7 +455,7 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
         top -= 1
     table = _np_binom(nv, top + 1)
     if not skel._closed:
-        _check_unmarked(skel, top, table)
+        _check_unmarked(skel, top)
     ranks = [0] * (maxdim + 2)
     top_known = True
     cleared = np.zeros(0, dtype=np.int64)
@@ -535,7 +537,7 @@ def connected_components(skel: Skeleton) -> int:
     """Number of connected components of the stored 1-skeleton: the number
     of vertices less the size of its spanning forest."""
     if not skel._closed:
-        _check_unmarked(skel, 0, None)
+        _check_unmarked(skel, 0)
     if skel.dim_cap == 0:
         return skel.num_vertices
     return skel.num_vertices - len(_spanning_forest(skel.simplices[1], skel.num_vertices))

@@ -203,12 +203,54 @@ def test_flag_skeleton_matches_brute_force(nv, data):
 
 
 def test_flag_skeleton_validates_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="labels must be distinct"):
         flag_skeleton_from_graph([0, 1, 1], [], 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loop edge at 0"):
         flag_skeleton_from_graph([0, 1], [(0, 0)], 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) uses an unknown label"):
         flag_skeleton_from_graph([0, 1], [(0, 2)], 1)
+    # The first bad edge is the one reported.
+    with pytest.raises(ValueError, match="loop edge at 2"):
+        flag_skeleton_from_graph([0, 1, 2], [(1, 0), (2, 2), (0, 5)], 1)
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) uses an unknown label"):
+        flag_skeleton_from_graph([0, 1, 2], [(1, 0), (0, 5), (2, 2)], 1)
+    with pytest.raises(ValueError):
+        flag_skeleton_from_graph([0, 1, 2], [(0, 1, 2), (0, 1, 2)], 1)
+    with pytest.raises(ValueError, match="dim_cap must be nonnegative"):
+        flag_skeleton_from_graph([0, 1], [(0, 1)], -1)
+    # Either orientation, repeats, and any iterable of pairs.
+    once = flag_skeleton_from_graph([3, 5, 9], [(3, 5), (3, 9), (5, 9)], 2)
+    again = flag_skeleton_from_graph(
+        (v for v in (9, 5, 3)), iter([(9, 3), (3, 9), (5, 3), (9, 5), (5, 9)]), 2
+    )
+    assert again.verts.tolist() == once.verts.tolist() == [3, 5, 9]
+    assert [a.tolist() for a in again.simplices] == [a.tolist() for a in once.simplices]
+    assert once.counts == (3, 3, 1)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_links_match_networkx(r):
+    # The link of v is the flag complex of the pairs of its neighbours
+    # within distance r.
+    space = SpaceSpec.hypercube(5, r)
+    for v in (0, 13, 31):
+        nbrs = sorted(neighborhood(space, v))
+        edges = [(a, b) for a, b in combinations(nbrs, 2) if hamming_distance(a, b) <= r]
+        expected = _networkx_cliques(nbrs, edges)
+        link = link_complex(space, v, len(expected) - 1)
+        assert link.complete_flag
+        _assert_layers_are(link, expected)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_kneser_complex_matches_networkx(n):
+    pairs = [(a, b) for b in range(n) for a in range(b)]
+    edges = [(i, j) for i, j in combinations(range(len(pairs)), 2)
+             if set(pairs[i]) & set(pairs[j])]
+    expected = _networkx_cliques(range(len(pairs)), edges)
+    skel = kneser_independence_complex(n, len(expected) - 1)
+    assert skel.complete_flag
+    _assert_layers_are(skel, expected)
 
 
 def test_delete_top_vertex_matches_smaller_space():

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cuberips import experiments
 from cuberips import (
     SizeBudgetExceeded,
     Skeleton,
@@ -35,6 +38,42 @@ def test_splitting_holds_at_scale_two(m):
     assert report.all_hold
     assert not report.reverified
     assert report.note == ""
+
+
+def test_splitting_mismatch_is_rechecked_densely(monkeypatch):
+    # A wrong β̃_3 of the whole complex breaks the recurrence in dimension
+    # 3.  The dense oracle then disagrees with it (an engine bug), confirms
+    # it, or refuses a complex too large for it.
+    real = experiments.betti_numbers
+
+    def inflated(skel, p=2, maxdim=None):
+        bv = real(skel, p=p, maxdim=maxdim)
+        if skel.num_vertices == 12 and p == 2:
+            betti = bv.reduced_betti
+            bv = dataclasses.replace(bv, reduced_betti=betti[:3] + (betti[3] + 1,))
+        return bv
+
+    def too_large(skel, p=2, maxdim=None):
+        raise ValueError("complex too large for the dense oracle")
+
+    monkeypatch.setattr(experiments, "betti_numbers", inflated)
+    with pytest.raises(RuntimeError, match="sparse and dense reductions disagree"):
+        splitting_check(12, 2, maxdim=3)
+
+    monkeypatch.setattr(experiments, "betti_numbers_dense", inflated)
+    report = splitting_check(12, 2, maxdim=3)
+    assert report.holds == {0: True, 1: True, 2: True, 3: False}
+    assert report.expected[3] == three_sphere_count(12)
+    assert report.reverified
+    assert report.note == (
+        f"mismatch confirmed densely; GF(3) whole = (0, 0, 0, {three_sphere_count(12)})"
+    )
+
+    monkeypatch.setattr(experiments, "betti_numbers_dense", too_large)
+    report = splitting_check(12, 2, maxdim=3)
+    assert report.holds[3] is False
+    assert not report.reverified
+    assert report.note == "mismatch found but too large for dense re-verification"
 
 
 def test_splitting_with_empty_link():

@@ -23,6 +23,7 @@ from cuberips import (
     flag_skeleton_from_graph,
     gf_rank,
     greedy_collapse_probe,
+    integer_homology_snf,
     kneser_independence_complex,
     random_flag_skeleton,
     simplex_rank,
@@ -115,12 +116,6 @@ def test_face_closure_is_checked(monkeypatch):
     assert betti_numbers(q4r2).reduced_betti == (0, 0, 0, three_sphere_count(16), 0, 0)
     assert betti_numbers(rp2).reduced_betti == (0, 1, 1)
     assert betti_numbers(cluster, maxdim=3).reduced_betti == (0, 0, 0, 0)
-
-
-def test_the_sweep_caches_no_rank_keys():
-    skel = enumerate_skeleton(SpaceSpec.hypercube(4, 2), 5)
-    betti_numbers(skel)
-    assert skel._keys == {}
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -669,15 +664,36 @@ def test_unmarked_skeleton_out_of_colex_order_raises():
         )
 
     # A 4-cycle, closed under faces, whose rank keys 1, 4, 3, 2 do not rise.
+    # A membership test searches them, and would miss the edge (1, 3).
     shuffled = by_hand([[0, 2], [1, 3], [0, 3], [1, 2]])
-    with pytest.raises(ValueError, match="layer 1 is not in colex order"):
-        betti_numbers(shuffled)
+    for read in (betti_numbers, lambda skel: skel.has_simplex((1, 3)),
+                 lambda skel: star_cluster(skel, (1, 3))):
+        with pytest.raises(ValueError, match="layer 1 is not in colex order"):
+            read(shuffled)
     with pytest.raises(ValueError, match="edges are not in colex order"):
         connected_components(shuffled)
     # Rank keys 0, 2, 3, 5 rise, but the row (2, 1) descends.
     with pytest.raises(ValueError, match="layer 1 is not in colex order"):
         betti_numbers(by_hand([[0, 1], [2, 1], [0, 3], [2, 3]]))
-    assert betti_numbers(by_hand([[0, 1], [1, 2], [0, 3], [2, 3]])).reduced_betti == (0, 1)
+    ordered = by_hand([[0, 1], [1, 2], [0, 3], [2, 3]])
+    assert betti_numbers(ordered).reduced_betti == (0, 1)
+    assert ordered.has_simplex((0, 3)) and not ordered.has_simplex((1, 3))
+
+    # A filled triangle, closed under faces, with its edges out of order:
+    # a search of the edge keys for its facets would report a missing face.
+    filled = Skeleton(
+        verts=np.arange(3),
+        simplices=[np.arange(3, dtype=np.uint32)[:, None],
+                   np.array([[0, 2], [0, 1], [1, 2]], dtype=np.uint32),
+                   np.array([[0, 1, 2]], dtype=np.uint32)],
+        dim_cap=2,
+        complete_flag=True,
+    )
+    for read in (betti_numbers, lambda skel: greedy_collapse_probe(skel, 0),
+                 lambda skel: boundary_matrix(skel, 2),
+                 lambda skel: integer_homology_snf(skel, 1)):
+        with pytest.raises(ValueError, match="layer 1 is not in colex order"):
+            read(filled)
 
 
 def test_layer_zero_must_list_the_vertices():
