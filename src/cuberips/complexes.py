@@ -26,7 +26,7 @@ np.take, a row as a single void item.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -61,8 +61,11 @@ def _resolve_budget(budget) -> int:
 def _np_binom(nv: int, tmax: int) -> np.ndarray:
     """Table of C(v, t) for v <= nv, t <= tmax, as int64.
 
-    Raises if any needed value would overflow the 63-bit rank keys; such a
-    layer could not be enumerated under any realistic budget anyway.
+    Raises OverflowError if any needed value would overflow the 63-bit rank
+    keys.  That limit is met by real complexes, not only by huge ones: at
+    256 vertices keys fit up to width 11, yet layer 11 of VR(Q8; 3) is
+    nonempty and within the default budget, and its keys need C(256, 12),
+    which is above 2**63.
     """
     if math.comb(nv, min(tmax, nv // 2)) > _RANK_LIMIT:
         raise OverflowError(
@@ -94,9 +97,14 @@ class Skeleton:
     true when dim_cap is at least the top dimension of the full complex, i.e.
     nothing was truncated away.  ``source`` is the SpaceSpec of a metric
     enumeration, which the text export reads, and None otherwise.
-    ``_closed`` marks a skeleton built closed under faces and in colex
-    order, which homology then need not check; a skeleton built by hand is
-    unmarked.
+
+    The constructor checks what homology and every other reader trust, and
+    raises ValueError otherwise: dim_cap >= 0 with one layer per dimension
+    up to it; verts a strictly increasing integer array; layer k an integer
+    array of shape (n, k+1) whose entries index verts; layer 0 the vertices
+    in order; and, up to the top nonempty layer, colex order (rows ascend,
+    rank keys rise) and closure under faces.  The package's constructors
+    build skeletons that hold all this, and skip the checks.
     """
 
     verts: np.ndarray
@@ -104,7 +112,29 @@ class Skeleton:
     dim_cap: int
     complete_flag: bool
     source: SpaceSpec | None = None
-    _closed: bool = field(default=False, init=False, repr=False)
+
+    def __post_init__(self):
+        layers = self.simplices
+        if self.dim_cap < 0 or len(layers) != self.dim_cap + 1:
+            raise ValueError("need dim_cap >= 0 and one layer per dimension up to it")
+        verts = self.verts
+        if not (_is_int_array(verts, 1) and (verts[1:] > verts[:-1]).all()):
+            raise ValueError("verts must be a strictly increasing integer array")
+        nv = len(verts)
+        for k, rows in enumerate(layers):
+            if not (_is_int_array(rows, 2) and rows.shape[1] == k + 1):
+                raise ValueError(f"layer {k} is not an integer array of shape (n, {k + 1})")
+            if len(rows) and (rows.min() < 0 or rows.max() >= nv):
+                raise ValueError(f"layer {k} names a vertex outside 0..{nv - 1}")
+        if not np.array_equal(layers[0], np.arange(nv)[:, None]):
+            raise ValueError("layer 0 is not the vertices in order")
+        keys_lo = np.arange(nv)  # the rank key of vertex v is C(v, 1) = v
+        for k in range(1, self.top_dimension() + 1):
+            rows, keys = layers[k], self.layer_keys(k)
+            if (rows[:, 1:] <= rows[:, :-1]).any() or (keys[1:] <= keys[:-1]).any():
+                raise ValueError(f"layer {k} is not in colex order")
+            _facet_row_indices(rows, keys_lo, nv)
+            keys_lo = keys
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -122,18 +152,8 @@ class Skeleton:
         return -1
 
     def layer_keys(self, k: int) -> np.ndarray:
-        """Sorted int64 rank keys of the dimension-k layer.
-
-        On a skeleton not marked closed, raises ValueError unless the rows
-        ascend and their keys increase: the readers of the keys search them.
-        """
-        rows = self.simplices[k]
-        keys = _layer_ranks(rows, _np_binom(self.num_vertices, k + 1))
-        if not self._closed and (
-            (rows[:, 1:] <= rows[:, :-1]).any() or (keys[1:] <= keys[:-1]).any()
-        ):
-            raise ValueError(f"layer {k} is not in colex order")
-        return keys
+        """Sorted int64 rank keys of the dimension-k layer."""
+        return _layer_ranks(self.simplices[k], _np_binom(self.num_vertices, k + 1))
 
     def has_simplex(self, sigma) -> bool:
         """Membership test for a simplex given by external labels."""
@@ -146,6 +166,52 @@ class Skeleton:
         keys = self.layer_keys(rank.dimension)
         pos = int(np.searchsorted(keys, rank.rank))
         return pos < len(keys) and int(keys[pos]) == rank.rank
+
+
+def _built(verts, simplices, dim_cap: int, complete_flag: bool) -> Skeleton:
+    """A skeleton that this module built closed under faces and in colex
+    order, made without the checks of Skeleton's constructor."""
+    skel = object.__new__(Skeleton)
+    skel.verts, skel.simplices, skel.dim_cap = verts, simplices, dim_cap
+    skel.complete_flag, skel.source = complete_flag, None
+    return skel
+
+
+def _is_int_array(a, ndim: int) -> bool:
+    return (isinstance(a, np.ndarray) and a.ndim == ndim
+            and np.issubdtype(a.dtype, np.integer))
+
+
+def _facet_row_indices(rows: np.ndarray, keys_lo: np.ndarray, nv: int) -> np.ndarray:
+    """Facet rows of a layer of k-simplices on nv vertices.
+
+    Returns an (N_k, k+1) array whose entry [j, t] is the index, in the
+    sorted rank keys keys_lo of layer k-1, of the facet of rows[j] that drops
+    vertex position t.  Raises ValueError when a facet is missing.
+    """
+    n, width = rows.shape
+    out = np.empty((n, width), dtype=np.int64)
+    if n == 0:
+        return out
+    if len(keys_lo) == 0:
+        raise ValueError("skeleton is not closed under faces")
+    table = _np_binom(nv, width)
+    # The facet that drops the top position keeps every other vertex in
+    # place: its key is sum_{i < width-1} C(v_i, i+1).
+    key = np.zeros(n, dtype=np.int64)
+    for i in range(width - 1):
+        key += table[rows[:, i], i + 1]
+    for t in range(width - 1, -1, -1):
+        if t < width - 1:
+            # Dropping t instead of t+1 puts v_{t+1} in slot t, where v_t was.
+            key += table[rows[:, t + 1], t + 1]
+            key -= table[rows[:, t], t + 1]
+        idx = np.searchsorted(keys_lo, key)
+        np.minimum(idx, len(keys_lo) - 1, out=idx)
+        if (keys_lo[idx] != key).any():
+            raise ValueError("skeleton is not closed under faces")
+        out[:, t] = idx
+    return out
 
 
 def _positions(skel: Skeleton, labels) -> np.ndarray:
@@ -164,17 +230,13 @@ def _restrict(skel: Skeleton, keep) -> Skeleton:
     dimension len(keep) - 1.
     """
     renumber = np.cumsum(keep[0]) - 1
-    out = Skeleton(
-        verts=skel.verts[keep[0]],
-        simplices=[
-            renumber[rows[mask]].astype(np.uint32)
-            for rows, mask in zip(skel.simplices, keep)
-        ],
-        dim_cap=len(keep) - 1,
-        complete_flag=skel.complete_flag,
+    return _built(
+        skel.verts[keep[0]],
+        [renumber[rows[mask]].astype(np.uint32)
+         for rows, mask in zip(skel.simplices, keep)],
+        len(keep) - 1,
+        skel.complete_flag,
     )
-    out._closed = skel._closed
-    return out
 
 
 def _pack_graph(a, b, nv: int) -> np.ndarray:
@@ -264,13 +326,11 @@ def _flag_layers(up, dim_cap, budget=None):
 def _flag_complex(verts: np.ndarray, a, b, dim_cap: int, budget) -> Skeleton:
     """The flag complex, up to dimension dim_cap, of the graph on the sorted
     labels verts with an edge between positions a[i] < b[i] for every i.
-    Every flag skeleton is built here, and marked closed."""
+    Every flag skeleton is built here."""
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
     layers, complete = _flag_layers(_pack_graph(a, b, len(verts)), dim_cap, budget)
-    skel = Skeleton(verts, layers, dim_cap, complete)
-    skel._closed = True
-    return skel
+    return _built(verts, layers, dim_cap, complete)
 
 
 def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
@@ -345,6 +405,8 @@ def skeleton_from_facets(facets, dim_cap=None) -> Skeleton:
     top = max(len(f) for f in facets) - 1
     if dim_cap is None:
         dim_cap = top
+    if dim_cap < 0:
+        raise ValueError("dim_cap must be nonnegative")
     by_dim: list[set[tuple[int, ...]]] = [set() for _ in range(dim_cap + 1)]
     for f in facets:
         idx = [lookup[v] for v in f]
@@ -355,14 +417,7 @@ def skeleton_from_facets(facets, dim_cap=None) -> Skeleton:
         .reshape(-1, k + 1)
         for k, faces in enumerate(by_dim)
     ]
-    skel = Skeleton(
-        verts=np.asarray(verts, dtype=np.int64),
-        simplices=sims,
-        dim_cap=dim_cap,
-        complete_flag=dim_cap >= top,
-    )
-    skel._closed = True
-    return skel
+    return _built(np.asarray(verts, dtype=np.int64), sims, dim_cap, dim_cap >= top)
 
 
 def delete_vertex(skel: Skeleton, v: int) -> Skeleton:

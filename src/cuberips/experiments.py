@@ -16,6 +16,7 @@ import numpy as np
 from .complexes import (
     SizeBudgetExceeded,
     Skeleton,
+    _facet_row_indices,
     _layer_ranks,
     _np_binom,
     _resolve_budget,
@@ -31,9 +32,7 @@ from .hamming import SpaceSpec
 from .homology import (
     BettiVector,
     _adjacency,
-    _check_unmarked,
     _coface_reader,
-    _facet_row_indices,
     betti_numbers,
 )
 from .oracle import betti_numbers_dense
@@ -260,8 +259,7 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
 
     Cofacet counts come from the facet rows.  The one live cofacet of a free
     face is read from the adjacency bitsets by the coface reader of the
-    homology sweep, which trusts colex order, so a skeleton not marked
-    closed first passes the sweep's check.
+    homology sweep.
     """
     if not skel.complete_flag:
         raise ValueError("collapse probe requires a complete skeleton")
@@ -272,8 +270,6 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
         return CollapseOutcome(top, "collapsed_to_target", 0, residual=skel)
     counts, nv = skel.counts, skel.num_vertices
     table = _np_binom(nv, top + 1)
-    if not skel._closed:
-        _check_unmarked(skel, top)
     keys = {k: _layer_ranks(skel.simplices[k], table)
             for k in range(target_dim, top + 1)}
     facet_rows = {

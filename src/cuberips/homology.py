@@ -22,16 +22,12 @@ the coefficient (-1)**t.  One binomial table, as wide as the highest layer
 the sweep reaches, serves every key of a call.
 
 The cofaces come from the graph and the forest from the edge order, so the
-sweep trusts the skeleton to be closed under faces and in colex order.  The
-constructors that guarantee it mark the skeleton.  On an unmarked one the
-sweep and the collapse probe first check that layer 0 lists the vertices
-in order (``connected_components`` checks that much too), that every row
-ascends and that every layer's rank keys increase, and then run
-``_facet_row_indices``, which finds, by one searchsorted per vertex
-position, the row in layer k-1 of every facet of layer k and raises when
-one is missing.  Boundary matrices, the integer SNF and the collapse probe
-use those facet rows too; the first two search the rank keys of
-``Skeleton.layer_keys``, which checks the order of an unmarked layer.
+sweep trusts the skeleton to be closed under faces and in colex order, as
+every ``Skeleton`` is: its constructor checks one built by hand, and the
+package's own constructors build it so.  Boundary matrices, the integer
+SNF and the collapse probe take facet rows from ``_facet_row_indices``,
+one searchsorted per vertex position against the rank keys of the layer
+below, which the constructor's closure check runs too.
 
 One kernel, ``_reduce_index``, reduces every map above δ_0 for every prime.
 It walks the columns from last to first and takes each column's lowest row
@@ -55,6 +51,7 @@ import numpy as np
 
 from .complexes import (
     Skeleton,
+    _facet_row_indices,
     _layer_ranks,
     _np_binom,
     _pack_graph,
@@ -117,38 +114,6 @@ class SparseBoundaryMatrix:
             for r, c in self.column(j):
                 dense[r, j] = (dense[r, j] + c) % self.p
         return dense
-
-
-def _facet_row_indices(rows: np.ndarray, keys_lo: np.ndarray, nv: int) -> np.ndarray:
-    """Facet rows of a layer of k-simplices on nv vertices.
-
-    Returns an (N_k, k+1) array whose entry [j, t] is the index, in the
-    sorted rank keys keys_lo of layer k-1, of the facet of rows[j] that drops
-    vertex position t.  Raises ValueError when a facet is missing.
-    """
-    n, width = rows.shape
-    out = np.empty((n, width), dtype=np.int64)
-    if n == 0:
-        return out
-    if len(keys_lo) == 0:
-        raise ValueError("skeleton is not closed under faces")
-    table = _np_binom(nv, width)
-    # The facet that drops the top position keeps every other vertex in
-    # place: its key is sum_{i < width-1} C(v_i, i+1).
-    key = np.zeros(n, dtype=np.int64)
-    for i in range(width - 1):
-        key += table[rows[:, i], i + 1]
-    for t in range(width - 1, -1, -1):
-        if t < width - 1:
-            # Dropping t instead of t+1 puts v_{t+1} in slot t, where v_t was.
-            key += table[rows[:, t + 1], t + 1]
-            key -= table[rows[:, t], t + 1]
-        idx = np.searchsorted(keys_lo, key)
-        np.minimum(idx, len(keys_lo) - 1, out=idx)
-        if (keys_lo[idx] != key).any():
-            raise ValueError("skeleton is not closed under faces")
-        out[:, t] = idx
-    return out
 
 
 def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:
@@ -420,21 +385,6 @@ def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
         )
 
 
-def _check_unmarked(skel: Skeleton, top: int) -> None:
-    """Raise ValueError unless skel, a skeleton not marked closed, has the
-    vertices 0..nv-1 in order as layer 0, and its layers 1..top ascend
-    within rows and increase in rank keys, which Skeleton.layer_keys checks,
-    and are closed under faces."""
-    nv = skel.num_vertices
-    if not np.array_equal(skel.simplices[0], np.arange(nv)[:, None]):
-        raise ValueError("layer 0 is not the vertices in order")
-    keys_lo = np.arange(nv)  # the rank key of vertex v is C(v, 1) = v
-    for k in range(1, top + 1):
-        keys = skel.layer_keys(k)
-        _facet_row_indices(skel.simplices[k], keys_lo, nv)
-        keys_lo = keys
-
-
 def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     """Ranks of the boundary maps for dimensions 1..maxdim+1.
 
@@ -454,8 +404,6 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     while top and not counts[top]:
         top -= 1
     table = _np_binom(nv, top + 1)
-    if not skel._closed:
-        _check_unmarked(skel, top)
     ranks = [0] * (maxdim + 2)
     top_known = True
     cleared = np.zeros(0, dtype=np.int64)
@@ -536,8 +484,6 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
 def connected_components(skel: Skeleton) -> int:
     """Number of connected components of the stored 1-skeleton: the number
     of vertices less the size of its spanning forest."""
-    if not skel._closed:
-        _check_unmarked(skel, 0)
     if skel.dim_cap == 0:
         return skel.num_vertices
     return skel.num_vertices - len(_spanning_forest(skel.simplices[1], skel.num_vertices))

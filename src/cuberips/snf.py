@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import Skeleton
-from .homology import _facet_row_indices, connected_components
+from .homology import boundary_matrix, connected_components
 
 _SNF_MAX_SIMPLICES = 20000
 
@@ -142,12 +142,7 @@ def smith_normal_form(mat) -> list[int]:
 
 def _boundary_sparse_int(skel: Skeleton, k: int) -> _SparseInt:
     sp = _SparseInt()
-    if len(skel.simplices[k]) == 0:
-        return sp
-    facet_rows = _facet_row_indices(
-        skel.simplices[k], skel.layer_keys(k - 1), skel.num_vertices
-    )
-    for j, frow in enumerate(facet_rows.tolist()):
+    for j, frow in enumerate(boundary_matrix(skel, k).facet_rows.tolist()):
         for t, r in enumerate(frow):
             sp.set(r, j, 1 if t % 2 == 0 else -1)
     return sp

@@ -11,7 +11,9 @@ from cuberips import (
     SizeBudgetExceeded,
     Skeleton,
     SpaceSpec,
+    betti_numbers,
     betti_single_dim,
+    connected_components,
     delete_vertex,
     enumerate_skeleton,
     flag_skeleton_from_graph,
@@ -367,6 +369,58 @@ def test_skeleton_from_facets_tetrahedron_boundary():
         skeleton_from_facets([])
     with pytest.raises(ValueError):
         skeleton_from_facets([()])
+    with pytest.raises(ValueError, match="dim_cap must be nonnegative"):
+        skeleton_from_facets([(0, 1)], dim_cap=-1)
+
+
+def _vertices(nv: int) -> np.ndarray:
+    return np.arange(nv, dtype=np.uint32)[:, None]
+
+
+@pytest.mark.parametrize("verts,simplices,dim_cap,message", [
+    # a row naming a vertex >= nv, or below 0
+    (np.arange(3), [_vertices(3), np.array([[0, 5]], dtype=np.uint32)], 1,
+     r"layer 1 names a vertex outside 0\.\.2"),
+    (np.arange(3), [_vertices(3), np.array([[-1, 2]])], 1,
+     r"layer 1 names a vertex outside 0\.\.2"),
+    # dim_cap above the number of layers, below it, and negative
+    (np.arange(2), [_vertices(2)], 1, "one layer per dimension"),
+    (np.arange(2), [_vertices(2), np.zeros((0, 2), dtype=np.uint32)], 0,
+     "one layer per dimension"),
+    (np.arange(0), [], -1, "dim_cap >= 0"),
+    # a layer 1 of width 3, a flat layer and a float layer
+    (np.arange(3), [_vertices(3), np.array([[0, 1, 2]], dtype=np.uint32)], 1,
+     r"layer 1 is not an integer array of shape \(n, 2\)"),
+    (np.arange(3), [np.arange(3, dtype=np.uint32)], 0,
+     r"layer 0 is not an integer array of shape \(n, 1\)"),
+    (np.arange(3), [_vertices(3).astype(float)], 0,
+     r"layer 0 is not an integer array of shape \(n, 1\)"),
+    # labels out of order, repeated, not an array, or not integers
+    (np.array([5, 1, 3]), [_vertices(3)], 0, "verts must be"),
+    (np.array([1, 1, 3]), [_vertices(3)], 0, "verts must be"),
+    ([1, 3, 5], [_vertices(3)], 0, "verts must be"),
+    (np.array([1.0, 3.0, 5.0]), [_vertices(3)], 0, "verts must be"),
+])
+def test_malformed_hand_built_skeleton_raises_when_built(verts, simplices, dim_cap,
+                                                          message):
+    # A reader given any of these would raise NumPy's IndexError or
+    # "sigma outside universe", or count the components wrongly.
+    with pytest.raises(ValueError, match=message):
+        Skeleton(verts=verts, simplices=simplices, dim_cap=dim_cap, complete_flag=True)
+
+
+def test_hand_built_skeleton_checks_layers_up_to_its_top_only():
+    # Layers 2..20 of the 7-cube graph are empty.  Their rank keys would
+    # need C(128, 21), which overflows 63 bits, so a check that read them
+    # could not build this skeleton.
+    q7 = enumerate_skeleton(SpaceSpec.hypercube(7, 1), 20)
+    skel = Skeleton(verts=q7.verts, simplices=q7.simplices, dim_cap=20,
+                    complete_flag=True)
+    assert skel.counts == (128, 448) + (0,) * 19
+    assert betti_numbers(skel).reduced_betti == (0, 321) + (0,) * 19
+    assert connected_components(skel) == 1
+    assert skel.has_simplex((0, 64)) and not skel.has_simplex((0, 3))
+    assert delete_vertex(skel, 0).counts == (127, 441) + (0,) * 19
 
 
 def test_star_cluster_keeps_dominated_simplices(q4r2):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuberips import homology
+from cuberips import complexes, homology
 from cuberips import (
     Skeleton,
     SpaceSpec,
@@ -86,36 +86,38 @@ def test_boundary_matrix_dimension_bounds(q3r2):
 
 def test_face_closure_is_checked(monkeypatch):
     base = skeleton_from_facets([(0, 1, 2, 3)])
-    doctored = Skeleton(
-        verts=base.verts,
-        simplices=[base.simplices[0], base.simplices[1][:-1]]
-        + base.simplices[2:],
-        dim_cap=base.dim_cap,
-        complete_flag=base.complete_flag,
-    )
-    with pytest.raises(ValueError):
-        boundary_matrix(doctored, 2)
+
+    def by_hand(simplices) -> Skeleton:
+        return Skeleton(verts=base.verts, simplices=simplices,
+                        dim_cap=base.dim_cap, complete_flag=base.complete_flag)
+
+    # The sweep reads cofaces from the graph, so only the constructor can
+    # see that the edge (2, 3) of the tetrahedron is missing.
     with pytest.raises(ValueError, match="skeleton is not closed under faces"):
-        homology._facet_row_indices(
+        by_hand([base.simplices[0], base.simplices[1][:-1]] + base.simplices[2:])
+    with pytest.raises(ValueError, match="skeleton is not closed under faces"):
+        complexes._facet_row_indices(
             np.array([[0, 1]], dtype=np.uint32), np.zeros(0, dtype=np.int64), 2
         )
-    # The sweep reads cofaces from the graph, so only the check can see
-    # the missing edge (2, 3), also after a subcomplex keeps it missing.
-    for skel in (doctored, delete_vertex(doctored, 0)):
-        with pytest.raises(ValueError, match="skeleton is not closed under faces"):
-            betti_numbers(skel)
+    whole = by_hand(base.simplices)
+    assert betti_numbers(whole).reduced_betti == (0, 0, 0, 0)
+    assert boundary_matrix(whole, 3).facet_rows.tolist() == [[3, 2, 1, 0]]
+    assert delete_vertex(whole, 0).counts == (3, 3, 1, 0)
 
     # What the package builds is closed, and is not checked again.
     def unreachable(*args):
         raise AssertionError("closure checked on a skeleton built closed")
 
+    monkeypatch.setattr(complexes, "_facet_row_indices", unreachable)
+    with pytest.raises(AssertionError):
+        by_hand(base.simplices)
     q4r2 = enumerate_skeleton(SpaceSpec.hypercube(4, 2), 5)
     cluster = star_cluster(q4r2, (0, 3))
     rp2 = skeleton_from_facets(RP2_FACETS)
-    monkeypatch.setattr(homology, "_facet_row_indices", unreachable)
     assert betti_numbers(q4r2).reduced_betti == (0, 0, 0, three_sphere_count(16), 0, 0)
     assert betti_numbers(rp2).reduced_betti == (0, 1, 1)
     assert betti_numbers(cluster, maxdim=3).reduced_betti == (0, 0, 0, 0)
+    assert delete_vertex(rp2, 0).counts == (5, 10, 5)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -664,36 +666,41 @@ def test_unmarked_skeleton_out_of_colex_order_raises():
         )
 
     # A 4-cycle, closed under faces, whose rank keys 1, 4, 3, 2 do not rise.
-    # A membership test searches them, and would miss the edge (1, 3).
-    shuffled = by_hand([[0, 2], [1, 3], [0, 3], [1, 2]])
-    for read in (betti_numbers, lambda skel: skel.has_simplex((1, 3)),
-                 lambda skel: star_cluster(skel, (1, 3))):
-        with pytest.raises(ValueError, match="layer 1 is not in colex order"):
-            read(shuffled)
+    # A membership test searches them, and would miss the edge (1, 3); the
+    # spanning forest reads the edges in order and would miscount.
+    shuffled = [[0, 2], [1, 3], [0, 3], [1, 2]]
+    with pytest.raises(ValueError, match="layer 1 is not in colex order"):
+        by_hand(shuffled)
     with pytest.raises(ValueError, match="edges are not in colex order"):
-        connected_components(shuffled)
+        homology._spanning_forest(np.array(shuffled), 4)
     # Rank keys 0, 2, 3, 5 rise, but the row (2, 1) descends.
     with pytest.raises(ValueError, match="layer 1 is not in colex order"):
-        betti_numbers(by_hand([[0, 1], [2, 1], [0, 3], [2, 3]]))
+        by_hand([[0, 1], [2, 1], [0, 3], [2, 3]])
     ordered = by_hand([[0, 1], [1, 2], [0, 3], [2, 3]])
     assert betti_numbers(ordered).reduced_betti == (0, 1)
+    assert connected_components(ordered) == 1
     assert ordered.has_simplex((0, 3)) and not ordered.has_simplex((1, 3))
+    assert star_cluster(ordered, (0, 3)).counts == (4, 3)
 
     # A filled triangle, closed under faces, with its edges out of order:
     # a search of the edge keys for its facets would report a missing face.
-    filled = Skeleton(
-        verts=np.arange(3),
-        simplices=[np.arange(3, dtype=np.uint32)[:, None],
-                   np.array([[0, 2], [0, 1], [1, 2]], dtype=np.uint32),
-                   np.array([[0, 1, 2]], dtype=np.uint32)],
-        dim_cap=2,
-        complete_flag=True,
-    )
-    for read in (betti_numbers, lambda skel: greedy_collapse_probe(skel, 0),
-                 lambda skel: boundary_matrix(skel, 2),
-                 lambda skel: integer_homology_snf(skel, 1)):
-        with pytest.raises(ValueError, match="layer 1 is not in colex order"):
-            read(filled)
+    def filled(edges) -> Skeleton:
+        return Skeleton(
+            verts=np.arange(3),
+            simplices=[np.arange(3, dtype=np.uint32)[:, None],
+                       np.array(edges, dtype=np.uint32),
+                       np.array([[0, 1, 2]], dtype=np.uint32)],
+            dim_cap=2,
+            complete_flag=True,
+        )
+
+    with pytest.raises(ValueError, match="layer 1 is not in colex order"):
+        filled([[0, 2], [0, 1], [1, 2]])
+    triangle = filled([[0, 1], [0, 2], [1, 2]])
+    assert betti_numbers(triangle).reduced_betti == (0, 0, 0)
+    assert greedy_collapse_probe(triangle, 0).status == "collapsed_to_target"
+    assert boundary_matrix(triangle, 2).facet_rows.tolist() == [[2, 1, 0]]
+    assert integer_homology_snf(triangle, 1).free_rank == 0
 
 
 def test_layer_zero_must_list_the_vertices():
@@ -705,14 +712,14 @@ def test_layer_zero_must_list_the_vertices():
             complete_flag=True,
         )
 
-    # One row too many, one too few, and a row naming no vertex: each used
-    # to give a wrong count or NumPy's IndexError.
-    for skel in (by_hand(2, [[0], [1], [2]]), by_hand(3, [[0], [1]]),
-                 by_hand(3, [[0], [1], [5]])):
+    # One row too few, rows out of order, a repeated row, and rows naming
+    # no vertex: each used to give a wrong count or NumPy's IndexError.
+    for nv, layer0 in ((3, [[0], [1]]), (3, [[1], [0], [2]]), (3, [[0], [0], [2]])):
         with pytest.raises(ValueError, match="layer 0 is not the vertices in order"):
-            betti_numbers(skel)
-        with pytest.raises(ValueError, match="layer 0 is not the vertices in order"):
-            connected_components(skel)
+            by_hand(nv, layer0)
+    for nv, layer0 in ((2, [[0], [1], [2]]), (3, [[0], [1], [5]])):
+        with pytest.raises(ValueError, match=f"layer 0 names a vertex outside 0..{nv - 1}"):
+            by_hand(nv, layer0)
     assert betti_numbers(by_hand(3, [[0], [1], [2]])).reduced_betti == (2,)
     assert connected_components(by_hand(3, [[0], [1], [2]])) == 3
 
