@@ -21,11 +21,24 @@ before anything is built.  The children are read off one 64-bit word at a
 time, from the parents whose word is nonzero only, and sorted by their new
 top vertex; parent rows and candidate words are then gathered with
 np.take, a row as a single void item.
+
+The layer at dim_cap keeps no candidates.  All they would tell is whether
+the complex goes on above dim_cap, and the first child that has one
+answers that: its candidates are formed a block of children at a time, and
+forming stops at the first nonzero block.  Before each layer is allocated,
+its bytes are estimated from the popcounts (rows, candidates and the
+largest word's temporaries) and compared with what the process may still
+allocate: its RLIMIT_AS less its address space, or else physical memory
+less its resident set.  A layer that does not fit raises
+SizeBudgetExceeded with the finished layers' counts, as one over the
+simplex budget does, instead of a MemoryError halfway through.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import resource
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -35,10 +48,15 @@ from .hamming import SpaceSpec, _flips, hamming_distance, neighborhood
 
 DEFAULT_BUDGET = 1 << 28
 _RANK_LIMIT = (1 << 63) - 1
+_BLOCK = 1 << 16  # children whose candidates are formed at a time
+# A layer bounded below this many bytes is built without reading the address
+# space: a process that cannot find them fails elsewhere first.
+_SMALL_LAYER = 1 << 20
 
 
 class SizeBudgetExceeded(RuntimeError):
-    """Enumeration would exceed the simplex-count budget.
+    """Enumeration would exceed the simplex-count budget, or the next layer
+    would need more bytes than the process may still allocate.
 
     ``partial_counts`` holds the per-dimension counts fully enumerated before
     the abort.
@@ -152,8 +170,12 @@ class Skeleton:
         return -1
 
     def layer_keys(self, k: int) -> np.ndarray:
-        """Sorted int64 rank keys of the dimension-k layer."""
-        return _layer_ranks(self.simplices[k], _np_binom(self.num_vertices, k + 1))
+        """Sorted int64 rank keys of the dimension-k layer.  An empty layer
+        builds no binomial table, whose entries may pass 63 bits."""
+        rows = self.simplices[k]
+        if len(rows) == 0:
+            return np.zeros(0, dtype=np.int64)
+        return _layer_ranks(rows, _np_binom(self.num_vertices, k + 1))
 
     def has_simplex(self, sigma) -> bool:
         """Membership test for a simplex given by external labels."""
@@ -249,7 +271,7 @@ def _pack_graph(a, b, nv: int) -> np.ndarray:
     return out
 
 
-def _next_layer(rows, cand, up, size):
+def _next_layer(rows, cand, up, size, last):
     """Rows and candidates of layer k+1, one child per set candidate bit.
 
     Candidates go one 64-bit word at a time, and only the parents whose
@@ -260,16 +282,23 @@ def _next_layer(rows, cand, up, size):
     gathered as one void item into a structured view of the child rows.
     A child keeps the parent's candidates that are neighbours of u above
     u: np.take(axis=0) gathers the parents' words straight into the child
-    block, and the rows of up are ANDed in.  Each int64 index array is
-    dropped as soon as it has been read.
+    block, and the rows of up are ANDed in, _BLOCK children at a time.
+    Each int64 index array is dropped as soon as it has been read.
+
+    The last layer (last=True) keeps no candidates: they would only tell
+    whether any child has one.  They are formed a block at a time and
+    dropped, and forming stops at the first nonzero block, which is
+    returned in their place; with none, an empty array is.  So what is
+    returned is nonzero exactly when layer k+2 would not be empty.
     """
     n, width = rows.shape
+    words = up.shape[1]
     child_rows = np.empty((size, width + 1), dtype=np.uint32)
-    child_cand = np.empty((size, up.shape[1]), dtype=up.dtype)
+    child_cand = up[:0] if last else np.empty((size, words), dtype=up.dtype)
     items = rows.view(f"V{4 * width}")[:, 0]
     child = child_rows.view([("head", f"V{4 * width}"), ("top", np.uint32)])[:, 0]
-    at = 0
-    for w in range(up.shape[1]):
+    at, found = 0, False
+    for w in range(words):
         hit = np.flatnonzero(cand[:, w] != 0)
         bits = np.unpackbits(cand[hit, w].view(np.uint8), bitorder="little")
         flat = np.flatnonzero(bits.view(bool))
@@ -283,13 +312,74 @@ def _next_layer(rows, cand, up, size):
         parent = hit[flat]
         del flat, hit
         child["head"][at:end] = np.take(items, parent)
-        # parent is in range, and mode="clip" lets np.take write into the
-        # block directly instead of through a buffer
-        np.take(cand, parent, axis=0, out=child_cand[at:end], mode="clip")
+        for lo in range(0, 0 if found else end - at, _BLOCK):
+            hi = min(lo + _BLOCK, end - at)
+            if last:
+                out = np.empty((hi - lo, words), dtype=up.dtype)
+            else:
+                out = child_cand[at + lo : at + hi]
+            # parent is in range, and mode="clip" lets np.take write into
+            # out directly instead of through a buffer
+            np.take(cand, parent[lo:hi], axis=0, out=out, mode="clip")
+            out &= np.take(up, top[lo:hi], axis=0)
+            if last and out.any():
+                child_cand, found = out, True
+                break
         del parent
-        child_cand[at:end] &= np.take(up, top, axis=0)
         at = end
     return child_rows, child_cand
+
+
+def _layer_bytes(rows, words, children, parents, last) -> int:
+    """Bytes that _next_layer and the popcounts after it allocate at their
+    peak, when the parents in rows have children[w] children from candidate
+    word w, and parents[w] of them have that word nonzero.
+
+    They are the child rows, the candidates (at most one block for the
+    last layer) with two bytes of popcounts per word, and the temporaries
+    of the word that needs most.  A word first holds the nonzero parents'
+    index, words and unpacked bits beside one int64 index per child; then,
+    during the stable sort, three int64 indices and two byte keys per child;
+    then the parent index beside the gathered parent rows, or beside one
+    block's candidates, the rows of up gathered for them and their int64
+    index.
+    """
+    n, width = rows.shape
+    size = sum(children)
+    cand = min(size, _BLOCK) if last else size
+    temp = max(
+        max(n + 72 * h + 8 * c, 8 * h + 26 * c,
+            8 * c + max(4 * width * c, 8 * (2 * words + 1) * min(c, _BLOCK)))
+        for c, h in zip(children, parents)
+    )
+    return 4 * (width + 1) * size + 10 * words * cand + temp
+
+
+def _word_counts(cand) -> tuple[list[int], list[int]]:
+    """Per candidate word: the children it makes and the parents for which
+    it is nonzero."""
+    popcount = np.bitwise_count(cand)
+    return (popcount.sum(axis=0, dtype=np.int64).tolist(),
+            np.count_nonzero(popcount, axis=0).tolist())
+
+
+def _free_bytes() -> int:
+    """Bytes this process may still allocate: its RLIMIT_AS less its address
+    space when the limit is set, else physical memory less its resident set.
+    Without /proc/self/statm the process is taken to use nothing yet."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    try:
+        fd = os.open("/proc/self/statm", os.O_RDONLY)
+        try:
+            mapped, resident = (int(f) * page for f in os.read(fd, 256).split()[:2])
+        finally:
+            os.close(fd)
+    except OSError:
+        mapped = resident = 0
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY:
+        return limit - mapped
+    return os.sysconf("SC_PHYS_PAGES") * page - resident
 
 
 def _flag_layers(up, dim_cap, budget=None):
@@ -298,12 +388,17 @@ def _flag_layers(up, dim_cap, budget=None):
     up is an (nv, ceil(nv/64)) little-endian uint64 array whose row v has
     bit u set iff u > v and uv is an edge.  Returns (layers, complete);
     layers[k] holds the uint32 rows of dimension k for every k <= dim_cap
-    (empty above the top dimension).  Each layer's size is known before it
-    is built, so a budget overrun aborts cleanly with the counts of the
+    (empty above the top dimension).  Each layer's size, and how many
+    children and nonzero parents each candidate word makes, can be read off
+    the popcounts before it is built.  So a layer that would pass the
+    simplex budget, or whose bytes (_layer_bytes) exceed what the process
+    may still allocate (_free_bytes), aborts cleanly with the counts of the
     finished layers.
+    Layer dim_cap keeps no candidates: _next_layer returns one block of
+    them that is nonzero exactly when the complex goes on above dim_cap.
     """
     budget = _resolve_budget(budget)
-    nv = len(up)
+    nv, words = up.shape
     layers = [np.zeros((0, k + 1), dtype=np.uint32) for k in range(dim_cap + 1)]
     rows, cand = np.arange(nv, dtype=np.uint32).reshape(nv, 1), up
     counts: list[int] = []
@@ -314,7 +409,19 @@ def _flag_layers(up, dim_cap, budget=None):
                 f"budget {budget} exceeded at dimension {k}", counts
             )
         if k:
-            rows, cand = _next_layer(rows, cand, up, size)
+            last = k == dim_cap
+            # First bound every word by one that holds all the children:
+            # reading the address space, or counting per word, costs about
+            # as much as building a small layer.
+            need = _layer_bytes(rows, words, [size], [min(len(rows), size)], last)
+            if need > _SMALL_LAYER and need > (free := _free_bytes()):
+                need = _layer_bytes(rows, words, *_word_counts(cand), last)
+                if need > free:
+                    raise SizeBudgetExceeded(
+                        f"dimension {k} needs about {need} bytes, "
+                        f"{max(free, 0)} are left", counts
+                    )
+            rows, cand = _next_layer(rows, cand, up, size, last)
         counts.append(size)
         layers[k] = rows
         size = int(np.bitwise_count(cand).sum())
@@ -338,7 +445,8 @@ def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
 
     Simplices are the vertex sets of pairwise Hamming distance <= space.r.
     Raises SizeBudgetExceeded if the total simplex count would pass budget
-    (default 2**28).
+    (default 2**28), or if a layer would need more bytes than the process
+    may still allocate.
     """
     # The neighbours u of v are v ^ f for the flips f; each edge is kept
     # once, from its lower end v < u < m.

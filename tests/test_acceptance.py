@@ -7,12 +7,17 @@ runs on one core with default budgets.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import cuberips
 from cuberips import (
     IntegerHomologySummary,
     SpaceSpec,
@@ -281,3 +286,30 @@ def test_scale_three_vector_through_dimension_nine_for_the_eight_cube():
     assert bv.reduced_betti[4] == conjectured_four_sphere_count(8)
     assert bv.reduced_betti[7] == conjectured_seven_sphere_count(8)
     assert bv.trusted_through == 9
+
+
+_NINE_CUBE_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from cuberips import SpaceSpec, betti_numbers, enumerate_skeleton
+skel = enumerate_skeleton(SpaceSpec.hypercube(9, 3), 5)
+bv = betti_numbers(skel, int(sys.argv[1]), 4)
+print(json.dumps({"betti": bv.reduced_betti, "trusted": bv.trusted_through}))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [2, 3])
+def test_scale_three_four_sphere_count_for_the_nine_cube(p):
+    # Layers 0..5 of the 9-cube at scale 3 (66.6 M simplices), about 25 s
+    # and 3.0 GB per field on a 2-core x86-64 box.  The child process runs
+    # under a 4 GiB address-space limit: candidates kept for the last layer
+    # (another 2.8 GB) fail the test, not the machine.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)))
+    child = subprocess.run([sys.executable, "-c", _NINE_CUBE_CHILD, str(p)], env=env,
+                           capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["betti"] == [0, 0, 0, 0, 1471]
+    assert result["betti"][4] == conjectured_four_sphere_count(9)
+    assert result["trusted"] == 4

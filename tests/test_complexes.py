@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cuberips
+from cuberips import complexes
 from cuberips import (
     SizeBudgetExceeded,
     Skeleton,
@@ -78,6 +84,43 @@ def test_complete_flag_reflects_truncation():
     assert enumerate_skeleton(space, 7).complete_flag
 
 
+def _truncation_inputs():
+    """(name, dim_cap -> Skeleton) for every flag-complex constructor."""
+    for n, scales in ((3, (1, 2, 3)), (4, (1, 2, 3)), (5, (1, 2))):
+        for r in scales:
+            for m in sorted({2**n, 2**n - 3, 2 ** (n - 1) + 1}):
+                yield f"m={m} r={r}", lambda cap, m=m, r=r: enumerate_skeleton(
+                    SpaceSpec(m=m, r=r), cap)
+    rng = np.random.default_rng(15)
+    for nv, p in ((5, 0.0), (12, 0.5), (24, 0.7), (40, 0.35), (70, 0.2), (140, 0.1)):
+        edges = [(a, b) for a, b in combinations(range(nv), 2) if rng.random() < p]
+        yield f"graph nv={nv} p={p}", lambda cap, nv=nv, edges=edges: (
+            flag_skeleton_from_graph(range(nv), edges, cap))
+    for n, r, v in ((5, 2, 0), (5, 3, 9), (6, 2, 63)):
+        yield f"link Q{n} r={r} v={v}", lambda cap, n=n, r=r, v=v: link_complex(
+            SpaceSpec.hypercube(n, r), v, cap)
+    for n in (4, 5, 6, 7):
+        yield f"kneser n={n}", lambda cap, n=n: kneser_independence_complex(n, cap)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_truncation_keeps_the_lower_layers(monkeypatch, block):
+    # The layer at dim_cap keeps no candidates, only whether any child has
+    # one.  Seven children per block makes every complete last layer scan
+    # many blocks to the end.
+    if block is not None:
+        monkeypatch.setattr(complexes, "_BLOCK", block)
+    for name, build in _truncation_inputs():
+        top = build(64).top_dimension()
+        for cap in sorted({0, 1, max(top, 0), top + 1}):
+            narrow, wide = build(cap), build(cap + 1)
+            for k in range(cap + 1):
+                assert np.array_equal(narrow.simplices[k], wide.simplices[k]), (name, cap, k)
+            assert narrow.complete_flag == (len(wide.simplices[cap + 1]) == 0), (name, cap)
+        # the last layer of a top-dimension run is nonempty but complete
+        assert build(top).complete_flag and build(top).counts[top] > 0, name
+
+
 def test_budget_abort_carries_partial_counts():
     space = SpaceSpec.hypercube(4, 2)
     with pytest.raises(SizeBudgetExceeded) as err:
@@ -102,6 +145,53 @@ def test_budget_abort_is_clean_at_every_size():
             with pytest.raises(SizeBudgetExceeded) as err:
                 run()
             assert err.value.partial_counts == counts[:fits], f"budget={budget}"
+
+
+_LOW_LIMIT_CHILD = """
+import json, os, resource
+from cuberips import SizeBudgetExceeded, SpaceSpec, enumerate_skeleton
+from cuberips.cli import main
+
+def lower_address_space(headroom):
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (size + headroom, hard))
+
+partial = []
+for mb in (192, 64):
+    lower_address_space(mb << 20)
+    try:
+        enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
+    except SizeBudgetExceeded as err:
+        partial.append(err.partial_counts)
+print(json.dumps({"partial": partial, "exit": main(["betti", "--n", "7", "--r", "3"])}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_byte_budget_aborts_under_a_low_address_space_limit():
+    # Q7 at scale 3 needs about 330 MB.  With 64 or 192 MB of address space
+    # left, its layers used to end in a MemoryError from np.empty or
+    # np.unpackbits; now the layer that does not fit is refused before it is
+    # allocated, like one over the simplex budget, and the CLI exits 2.
+    src = os.path.dirname(os.path.dirname(cuberips.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", _LOW_LIMIT_CHILD], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert len(result["partial"]) == 2
+    for partial in result["partial"]:
+        assert 1 < len(partial) < 14
+        uncapped = enumerate_skeleton(SpaceSpec.hypercube(7, 3), len(partial) - 1)
+        assert tuple(partial) == uncapped.counts
+    assert result["exit"] == 2
+    listed = [line for line in child.stderr.splitlines()
+              if line.startswith("partial counts\t")]
+    assert len(listed) == 1
+    counts = tuple(int(c) for c in listed[0].split("\t")[1:])
+    assert counts and counts == tuple(result["partial"][-1][: len(counts)])
 
 
 def test_enumerate_argument_validation():
@@ -497,6 +587,14 @@ def test_has_simplex(q3r2):
         q3r2.has_simplex((0, 8))
     with pytest.raises(ValueError):
         q3r2.has_simplex((1, 1))  # repeated vertex
+
+
+def test_empty_layer_past_the_rank_limit():
+    # C(128, 21) is above 2**63, but layer 20 of Q7 at scale 1 is empty:
+    # its keys and a lookup in it need no binomial table.
+    skel = enumerate_skeleton(SpaceSpec.hypercube(7, 1), 20)
+    assert skel.layer_keys(20).dtype == np.int64 and len(skel.layer_keys(20)) == 0
+    assert not skel.has_simplex(range(21))
 
 
 def test_simplex_diameter():

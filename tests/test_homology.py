@@ -84,6 +84,13 @@ def test_boundary_matrix_dimension_bounds(q3r2):
         boundary_matrix(q3r2, 1, p=4)
 
 
+def test_boundary_matrix_of_an_empty_layer_past_the_rank_limit():
+    # keys of 21 vertices among 128 would pass 63 bits; both layers are empty
+    bm = boundary_matrix(enumerate_skeleton(SpaceSpec.hypercube(7, 1), 20), 20)
+    assert (bm.n_rows, bm.n_cols) == (0, 0)
+    assert bm.to_dense().shape == (0, 0)
+
+
 def test_face_closure_is_checked(monkeypatch):
     base = skeleton_from_facets([(0, 1, 2, 3)])
 
