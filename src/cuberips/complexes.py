@@ -29,9 +29,10 @@ forming stops at the first nonzero block.  Before each layer is allocated,
 its bytes are estimated from the popcounts (rows, candidates and the
 largest word's temporaries) and compared with what the process may still
 allocate: its RLIMIT_AS less its address space, or else physical memory
-less its resident set.  A layer that does not fit raises
-SizeBudgetExceeded with the finished layers' counts, as one over the
-simplex budget does, instead of a MemoryError halfway through.
+less its resident set, and no more than its memory cgroup has left.  A
+layer that does not fit raises SizeBudgetExceeded with the finished
+layers' counts, as one over the simplex budget does, instead of a
+MemoryError halfway through.
 """
 
 from __future__ import annotations
@@ -365,7 +366,8 @@ def _word_counts(cand) -> tuple[list[int], list[int]]:
 
 def _free_bytes() -> int:
     """Bytes this process may still allocate: its RLIMIT_AS less its address
-    space when the limit is set, else physical memory less its resident set.
+    space when the limit is set, else physical memory less its resident set,
+    and no more than its memory cgroup has left (_cgroup_free_bytes).
     Without /proc/self/statm the process is taken to use nothing yet."""
     page = os.sysconf("SC_PAGE_SIZE")
     try:
@@ -378,8 +380,53 @@ def _free_bytes() -> int:
         mapped = resident = 0
     limit = resource.getrlimit(resource.RLIMIT_AS)[0]
     if limit != resource.RLIM_INFINITY:
-        return limit - mapped
-    return os.sysconf("SC_PHYS_PAGES") * page - resident
+        free = limit - mapped
+    else:
+        free = os.sysconf("SC_PHYS_PAGES") * page - resident
+    cgroup = _cgroup_free_bytes()
+    return free if cgroup is None else min(free, cgroup)
+
+
+# Where _cgroup_free_bytes looks: the process's cgroups, and the mount of
+# the cgroup hierarchies.
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cgroup_free_bytes() -> int | None:
+    """The memory limit less the usage of the cgroup that _PROC_CGROUP
+    names for this process, or None when it has no limit or none can be
+    read.  Under cgroup v2 ("0::path") that is memory.max less
+    memory.current in _CGROUP_ROOT/path; under v1 (a "memory" hierarchy)
+    memory.limit_in_bytes less memory.usage_in_bytes in
+    _CGROUP_ROOT/memory/path.  An unlimited v1 group reads a limit near
+    2**63, which is no bound either."""
+    try:
+        lines = _read_text(_PROC_CGROUP).splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        hier, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        if hier == "0" and not controllers:
+            where, files = _CGROUP_ROOT, ("memory.max", "memory.current")
+        elif "memory" in controllers.split(","):
+            where = os.path.join(_CGROUP_ROOT, "memory")
+            files = ("memory.limit_in_bytes", "memory.usage_in_bytes")
+        else:
+            continue
+        try:
+            limit, usage = (_read_text(where + path + "/" + f).strip() for f in files)
+            if limit != "max":
+                return int(limit) - int(usage)
+        except (OSError, ValueError):
+            continue
+    return None
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="ascii") as fh:
+        return fh.read()
 
 
 def _flag_layers(up, dim_cap, budget=None):

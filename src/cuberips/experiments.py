@@ -29,12 +29,7 @@ from .complexes import (
 )
 from .formulas import PredictionRecord, link_sphere_count, predicted_betti
 from .hamming import SpaceSpec
-from .homology import (
-    BettiVector,
-    _adjacency,
-    _coface_reader,
-    betti_numbers,
-)
+from .homology import BettiVector, betti_numbers
 from .oracle import betti_numbers_dense
 
 
@@ -257,9 +252,10 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     target.  Ties break toward the smallest dimension-local rank.  Requires
     a complete skeleton, else "exactly one cofacet" is not certifiable.
 
-    Cofacet counts come from the facet rows.  The one live cofacet of a free
-    face is read from the adjacency bitsets by the coface reader of the
-    homology sweep.
+    Each face keeps, from the facet rows, the count and the sum of the rows
+    of its live cofacets; a dying simplex is subtracted from both for each
+    of its facets.  So the one live cofacet of a free face is its sum, and
+    no coface is ever read.
     """
     if not skel.complete_flag:
         raise ValueError("collapse probe requires a complete skeleton")
@@ -269,29 +265,30 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     if top <= target_dim:
         return CollapseOutcome(top, "collapsed_to_target", 0, residual=skel)
     counts, nv = skel.counts, skel.num_vertices
-    table = _np_binom(nv, top + 1)
-    keys = {k: _layer_ranks(skel.simplices[k], table)
-            for k in range(target_dim, top + 1)}
+    table = _np_binom(nv, top)
+    keys = {k: _layer_ranks(skel.simplices[k], table) for k in range(target_dim, top)}
     facet_rows = {
         k: _facet_row_indices(skel.simplices[k], keys[k - 1], nv)
         for k in range(target_dim + 1, top + 1)
     }
-    adj = _adjacency(skel.simplices[1], nv)
     alive = [np.ones(c, dtype=bool) for c in counts[: top + 1]]
-    cof_count, cofaces, heaps = {}, {}, {}
+    cof_count, cof_sum, heaps = {}, {}, {}
     for k in range(target_dim, top):
-        cof_count[k] = np.bincount(facet_rows[k + 1].ravel(), minlength=counts[k])
-        cofaces[k] = _coface_reader(skel.simplices[k], keys[k + 1], adj, table, 2)
+        facets = facet_rows[k + 1]
+        cof_count[k] = np.bincount(facets.ravel(), minlength=counts[k])
+        cof_sum[k] = np.zeros(counts[k], dtype=np.int64)
+        np.add.at(cof_sum[k], facets.ravel(), np.repeat(np.arange(len(facets)), k + 2))
         heaps[k] = np.flatnonzero(cof_count[k] == 1).tolist()  # sorted: a heap
 
     def on_death(layer: int, row: int) -> None:
         # a dying simplex stops being a cofacet of its facets
         if layer - 1 < target_dim:
             return
-        cnt, live = cof_count[layer - 1], alive[layer - 1]
+        cnt, total, live = cof_count[layer - 1], cof_sum[layer - 1], alive[layer - 1]
         for rix in facet_rows[layer][row].tolist():
             if live[rix]:
                 cnt[rix] -= 1
+                total[rix] -= row
                 if cnt[rix] == 1:
                     heapq.heappush(heaps[layer - 1], rix)
 
@@ -311,7 +308,7 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
         if pair is None:
             break
         k, trow = pair
-        srow = next(j for j in cofaces[k](trow) if alive[k + 1][j])
+        srow = int(cof_sum[k][trow])
         alive[k][trow] = False
         alive[k + 1][srow] = False
         alive_above -= 1 if k == target_dim else 2

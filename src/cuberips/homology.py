@@ -4,7 +4,8 @@ Every Betti number comes from one upward sweep through coboundary
 columns, which have the same ranks as the boundary columns: the pivot rows
 of δ_{k-1} clear their columns of δ_k, so clearing flows from the cheap low
 dimensions upward and one pass suffices.  ``betti_single_dim`` is that sweep
-over layers 0..i+1.
+over layers 0..i of a flag complex: its top map δ_i reads its cofaces from
+the graph, and layer i+1 is never built.
 
 The sweep reduces no explicit matrix.  δ_0 needs no reduction at all: its
 pivot rows are the edges that join two components when the edges are added
@@ -13,13 +14,15 @@ in colex order, Kruskal's forest for every prime, which
 colex order the cofaces of a k-simplex s are s + v for the common
 neighbours v of its vertices, and their rows rise with v, so the lowest row
 of column s is s plus its smallest common neighbour: one AND of packed
-adjacency bitsets, one combinatorial-number-system key and one searchsorted
-against the sorted keys of layer k+1 (``_lowest_cofaces``).  A full column
-is enumerated the same way, in Python, only when the kernel reads it
-(``_coface_reader``); the collapse probe reads the cofaces of its free faces
-through the same reader.  An entry whose new vertex lands in slot t carries
-the coefficient (-1)**t.  One binomial table, as wide as the highest layer
-the sweep reaches, serves every key of a call.
+adjacency bitsets and one combinatorial-number-system key
+(``_lowest_cofaces``).  A row is named by one searchsorted of that key
+against the sorted keys of layer k+1 when the layer is stored, and by the
+key itself on the top map of ``betti_single_dim``: in a flag complex every
+common neighbour spans a coface, so no search is needed and no layer above.
+Full columns are enumerated the same way, in NumPy, a batch at a time, only
+when the kernel reads them (``_coface_reader``).  An entry whose new vertex
+lands in slot t carries the coefficient (-1)**t.  One binomial table, as
+wide as the highest layer the sweep reaches, serves every key of a call.
 
 The cofaces come from the graph and the forest from the edge order, so the
 sweep trusts the skeleton to be closed under faces and in colex order, as
@@ -34,11 +37,12 @@ It walks the columns from last to first and takes each column's lowest row
 as its pivot: the order of persistent cohomology over the colex filtration,
 in which the rows a prefix {0..m-1} spans come first.  NumPy gives each row
 to the first column in that order whose lowest row it is; only the
-remaining, colliding columns are reduced in Python, each read into a
-row->coefficient dict together with the pivots it meets.  The set of pivot
-rows depends only on the column space, so neither the order nor clearing
+remaining, colliding columns are reduced in Python, in rounds: each runs
+against the pivots already read until it meets one that is not, and one
+batched read then serves every column that waits.  The set of pivot rows
+depends only on the column space, so neither the order nor clearing
 changes it.  Each map of the sweep writes one debug line to the "cuberips"
-logger.
+logger, with the rounds its kernel took.
 """
 
 from __future__ import annotations
@@ -132,22 +136,28 @@ def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:
     )
 
 
-def _reduce_index(low: np.ndarray, read, n_rows: int, p: int,
+def _reduce_index(low: np.ndarray, read, p: int,
                   stats: dict | None = None) -> np.ndarray:
-    """Sorted int64 pivot rows over GF(p) of the n_rows-row matrix whose
-    column c has lowest row low[c] (-1 for an empty or cleared column, which
-    is left out) and reads in full as read(c), a {row: coeff} dict with its
-    rows in ascending order.  The rank is the number of rows returned.
+    """Sorted int64 pivot rows over GF(p) of the matrix whose column c has
+    lowest row low[c] (-1 for an empty or cleared column, which is left
+    out) and whose columns read(cols) returns in full, as {c: {row: coeff}}
+    with each column's rows in ascending order.  A row is any int64 id that
+    rises with row order: a position in the layer above, or a rank key.
+    The rank is the number of rows returned.
 
     The live columns are walked from last to first, and a column's pivot is
-    its lowest row.  owner[row] is the column that holds the row: np.unique
-    gives it to the first column in the walk with that lowest row, and such
-    a column is never read unless another collides with it.  Every other
-    column is reduced in Python against the owner of its lowest row, which
-    may come later in the walk, until it is zero or its lowest row has no
-    owner, which it then takes.  A lazy min-heap of its rows gives its
-    lowest row.  When stats is a dict, the columns settled by np.unique, the
-    columns read and the column additions are stored in it.
+    its lowest row.  One stable argsort of the lowest rows settles each on
+    the first column in the walk that has it, and such a column is never
+    read unless another collides with it.  The colliding columns are
+    reduced _BLOCK at a time, in rounds.  In a round each column is reduced
+    in Python against the owners of its lowest rows that are already read,
+    until it is zero, or its lowest row's owner is unread or missing.  Then
+    one searchsorted of the rows the blocked columns wait for, against the
+    settled rows, and one read of their owners serve them all; a column
+    whose row turned out to have no owner takes it in the next round.  A
+    lazy min-heap of a column's rows gives its lowest row.  When stats is a
+    dict, the settled rows, the columns read, the column additions and the
+    rounds are stored in it.
 
     Row i is a pivot exactly when rows 0..i have a larger rank than rows
     0..i-1, so the returned rows depend only on the column space, not on the
@@ -155,47 +165,77 @@ def _reduce_index(low: np.ndarray, read, n_rows: int, p: int,
     any order: the previous map's reduced column with lowest row c is a
     cocycle, so column c here is a combination of the columns after it.
     """
-    order = np.flatnonzero(low >= 0)[::-1]
-    lows, first = np.unique(low[order], return_index=True)
-    owner = np.full(n_rows, -1, dtype=np.int64)
-    owner[lows] = order[first]
+    live = np.flatnonzero(low >= 0)
+    live = live[np.argsort(low[live], kind="stable")]  # by lowest row, then column
+    at = low[live]
+    # The last column of each run with one lowest row comes first in the walk.
+    first = np.ones(len(live), dtype=bool)
+    np.not_equal(at[1:], at[:-1], out=first[:-1])
+    lows, owners = at[first], live[first]
+    colliding = np.sort(live[~first])[::-1]
+    del live, at, first
+    last = len(lows) - 1
 
-    # held[row] is the owner of row as a {row: coeff} dict: an untouched
-    # column once a collision has read it, or a reduced column.
+    # held[row] is the owner of row as a {row: coeff} dict once it is read:
+    # a settled column that a collision needed, or a reduced column.
     held: dict[int, dict[int, int]] = {}
-    colliding = np.delete(order, first).tolist()
-    reads, additions = len(colliding), 0
-    for c in colliding:
-        col = read(c)
-        heap = list(col)  # ascending, so already a min-heap
-        lo = heap[0]
-        while True:
-            piv = held.get(lo)
-            if piv is None:
-                piv = held[lo] = read(int(owner[lo]))
-                reads += 1
-            additions += 1
-            f = col[lo] * pow(piv[lo], -1, p) % p
-            for r, v in piv.items():
-                nv = (col.get(r, 0) - f * v) % p
-                if not nv:
-                    del col[r]
-                    continue
-                if r not in col:
-                    heapq.heappush(heap, r)
-                col[r] = nv
-            while heap and heap[0] not in col:
-                heapq.heappop(heap)
-            if not heap:
-                break
-            lo = heap[0]
-            if owner[lo] < 0:
-                owner[lo] = c
-                held[lo] = col
-                break
+    taken: list[int] = []  # rows that reduced columns took
+    reads = additions = rounds = 0
+    for start in range(0, len(colliding), _BLOCK):
+        fresh = colliding[start : start + _BLOCK]
+        # (column, its dict and heap once read, the row last searched for it)
+        run = [(c, None, None, -1) for c in fresh.tolist()]
+        wait = low[fresh]
+        if held:  # owners that an earlier block read
+            wait = wait[np.fromiter((r not in held for r in wait.tolist()), bool, len(wait))]
+        while run:
+            rounds += 1
+            at = np.minimum(np.searchsorted(lows, wait), last)
+            at = np.sort(at[lows[at] == wait])
+            at = at[np.flatnonzero(np.diff(at, prepend=-1))]  # once each
+            got = read(np.concatenate([fresh, owners[at]]))
+            reads += len(fresh) + len(at)
+            for r, c in zip(lows[at].tolist(), owners[at].tolist()):
+                held[r] = got[c]
+            blocked, wait = [], []
+            for c, col, heap, searched in run:
+                if col is None:
+                    col = got[c]
+                    heap = list(col)  # ascending, so already a min-heap
+                while True:
+                    lo = heap[0]
+                    piv = held.get(lo)
+                    if piv is None:
+                        if lo == searched:  # no column settled on lo
+                            held[lo] = col
+                            taken.append(lo)
+                        else:
+                            blocked.append((c, col, heap, lo))
+                            wait.append(lo)
+                        break
+                    additions += 1
+                    f = col[lo] * pow(piv[lo], -1, p) % p
+                    for r, v in piv.items():
+                        nv = (col.get(r, 0) - f * v) % p
+                        if not nv:
+                            del col[r]
+                            continue
+                        if r not in col:
+                            heapq.heappush(heap, r)
+                        col[r] = nv
+                    while heap and heap[0] not in col:
+                        heapq.heappop(heap)
+                    if not heap:
+                        break
+            run, wait, fresh = blocked, np.array(wait, dtype=np.int64), fresh[:0]
     if stats is not None:
-        stats.update(settled=len(first), read=reads, additions=additions)
-    return np.flatnonzero(owner >= 0)
+        stats.update(settled=len(lows), read=reads, additions=additions, rounds=rounds)
+    del owners, colliding
+    if not taken:
+        return lows
+    pivots = np.concatenate([lows, np.array(taken, dtype=np.int64)])
+    pivots.sort()
+    return pivots
 
 
 def _adjacency(edges: np.ndarray, nv: int) -> np.ndarray:
@@ -205,25 +245,50 @@ def _adjacency(edges: np.ndarray, nv: int) -> np.ndarray:
     return _pack_graph(np.concatenate([a, b]), np.concatenate([b, a]), nv)
 
 
-def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
+def _coface_keys(s: np.ndarray, v: np.ndarray, table: np.ndarray):
+    """(key, slot) of the coface s[j] + v[j] for each j, where s is an
+    int64 array of rows and no v[j] is in s[j]: its rank key
+    C(v, t+1) + sum_i C(s_i, i+1+[s_i > v]) and slot = t + 1, for
+    t = #{s_i < v} the position v takes.  table is an _np_binom table with
+    at least width + 2 columns."""
+    flat, stride = table.ravel(), table.shape[1]
+    slot = np.full(len(v), s.shape[1] + 1)
+    key = np.zeros(len(v), dtype=np.int64)
+    for i in range(s.shape[1]):
+        above = s[:, i] > v
+        slot -= above
+        key += flat[s[:, i] * stride + (i + 1) + above]
+    key += flat[v * stride + slot]
+    return key, slot
+
+
+def _coface_rows(key: np.ndarray, keys_hi: np.ndarray | None):
+    """(row, hit): the row of each coface key, and whether it is one.  The
+    rows are positions in the sorted rank keys keys_hi, or, when keys_hi is
+    None, the keys themselves, all of which are rows: in a flag complex
+    every common neighbour v of s spans the coface s + v."""
+    if keys_hi is None:
+        return key, np.ones(len(key), dtype=bool)
+    row = np.minimum(np.searchsorted(keys_hi, key), len(keys_hi) - 1)
+    return row, keys_hi[row] == key
+
+
+def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray,
                     table: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Row in the layer above, with sorted rank keys keys_hi, of the lowest
-    coface of each simplex rows[c] for c in cols; -1 for the other columns
-    and for a simplex with no coface.
+    """Row (see _coface_rows) of the lowest coface of each simplex rows[c]
+    for c in cols; -1 for the other columns and for a simplex with no
+    coface.
 
     The cofaces of s = (s_0 < ... < s_k) are s + v for common neighbours v
     of its vertices, and their rows rise with v, so the lowest one adds the
-    smallest v whose key is a row.  With t = #{s_i < v} that key is
-    C(v, t+1) + sum_i C(s_i, i+1+[s_i > v]).  Only a complex that is not
-    flag misses a key; its v is dropped and the next one tried.  The common
-    neighbours are ANDed one 64-bit word at a time, and a simplex goes on
-    to the next word only when it has no coface in this one.  Columns go in
-    blocks of _BLOCK, so the temporaries stay small on any layer.
+    smallest v whose key is a row.  Only a complex that is not flag misses
+    a key; its v is dropped and the next one tried.  The common neighbours
+    are ANDed one 64-bit word at a time, and a simplex goes on to the next
+    word only when it has no coface in this one.  Columns go in blocks of
+    _BLOCK, so the temporaries stay small on any layer.
     """
     low = np.full(len(rows), -1, dtype=np.int64)
     width = rows.shape[1]
-    flat, stride = table.ravel(), table.shape[1]
-    last = len(keys_hi) - 1
     # np.take(..., axis=0) gathers rows several times faster than indexing.
     for start in range(0, len(cols), _BLOCK):
         block = cols[start : start + _BLOCK]
@@ -242,16 +307,8 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
             while len(at):
                 one = bits & (~bits + 1)  # the lowest set bit
                 v = 64 * w + np.bitwise_count(one - 1).astype(np.int64)
-                slot = np.full(len(at), width + 1)  # t + 1
-                key = np.zeros(len(at), dtype=np.int64)
-                for i in range(width):
-                    above = s[:, i] > v
-                    slot -= above
-                    key += flat[s[:, i] * stride + (i + 1) + above]
-                key += flat[v * stride + slot]
-                idx = np.minimum(np.searchsorted(keys_hi, key), last)
-                hit = keys_hi[idx] == key
-                low[block[at[hit]]] = idx[hit]
+                row, hit = _coface_rows(_coface_keys(s, v, table)[0], keys_hi)
+                low[block[at[hit]]] = row[hit]
                 bits ^= one
                 later.append(at[~hit & (bits == 0)])
                 more = np.flatnonzero(~hit & (bits != 0))
@@ -260,53 +317,55 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
     return low
 
 
-def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray, adj: np.ndarray,
+def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray,
                    table: np.ndarray, p: int):
-    """read(c): the coboundary column of the simplex rows[c] over GF(p), as
-    a {row: coeff} dict with its rows in ascending order, where the cofaces
-    form the layer with sorted rank keys keys_hi.  adj is the graph from
-    _adjacency and table an _np_binom table with at least width + 2 columns.
+    """read(cols): the coboundary columns over GF(p) of the simplices
+    rows[c] for c in the int64 array cols, as {c: {row: coeff}} with each
+    column's rows (see _coface_rows) in ascending order.  adj is the graph
+    from _adjacency and table an _np_binom table with at least width + 2
+    columns.
 
     A column s reads its cofaces s + v over the common neighbours v of its
-    vertices, with coefficient (-1)**t for t = #{s_i < v}; one searchsorted
-    of their keys finds their rows and drops the keys that are not rows.
-    Most maps read no column, so read makes its Python copies of adj and of
-    the binomial table at its first call.
+    vertices, with coefficient (-1)**t for t = #{s_i < v}.  The columns go
+    _BLOCK at a time: one AND of adjacency rows per vertex position gives
+    their common neighbours, whose nonzero words are unpacked one word at a
+    time; one _coface_keys and one _coface_rows then serve every coface of
+    the block, and only the dicts are built in Python.
     """
     width = rows.shape[1]
-    last = len(keys_hi) - 1
-    ints = binom = None
 
-    def read(c: int) -> dict[int, int]:
-        nonlocal ints, binom
-        if ints is None:
-            ints = [int.from_bytes(row.tobytes(), "little") for row in adj]
-            binom = table.tolist()
-        s = rows[c].tolist()
-        common = ints[s[0]]
-        for x in s[1:]:
-            common &= ints[x]
-        # The key of s + v in slot t is below[t] + C(v, t+1) + above[t].
-        below, above = [0] * (width + 1), [0] * (width + 1)
-        for i, x in enumerate(s):
-            below[i + 1] = below[i] + binom[x][i + 1]
-        for i in range(width - 1, -1, -1):
-            above[i] = above[i + 1] + binom[s[i]][i + 2]
-        keys, slot = [], []
-        t = 0
-        while common:
-            bit = common & -common
-            common ^= bit
-            v = bit.bit_length() - 1
-            while t < width and s[t] < v:
-                t += 1
-            keys.append(below[t] + binom[v][t + 1] + above[t])
-            slot.append(t)
-        key = np.array(keys, dtype=np.int64)
-        idx = np.minimum(np.searchsorted(keys_hi, key), last)
-        hit = keys_hi[idx] == key
-        return {r: p - 1 if t & 1 else 1
-                for r, t, h in zip(idx.tolist(), slot, hit.tolist()) if h}
+    def read(cols: np.ndarray) -> dict[int, dict[int, int]]:
+        out: dict[int, dict[int, int]] = {}
+        for start in range(0, len(cols), _BLOCK):
+            block = cols[start : start + _BLOCK]
+            s = np.take(rows, block, axis=0).astype(np.int64)
+            common = np.take(adj, s[:, 0], axis=0)
+            for i in range(1, width):
+                common &= np.take(adj, s[:, i], axis=0)
+            at, v = [], []
+            for w in range(adj.shape[1]):
+                some = np.flatnonzero(common[:, w])
+                bits = np.flatnonzero(
+                    np.unpackbits(common[some, w].view(np.uint8), bitorder="little")
+                )
+                at.append(some[bits >> 6])
+                v.append(64 * w + (bits & 63))
+            del common
+            # word by word, then column by column: a stable sort on the
+            # column puts each column's cofaces in ascending v
+            at, v = np.concatenate(at), np.concatenate(v)
+            by = np.argsort(at, kind="stable")
+            at, v = at[by], v[by]
+            key, slot = _coface_keys(np.take(s, at, axis=0), v, table)
+            row, hit = _coface_rows(key, keys_hi)
+            ends = np.cumsum(np.bincount(at[hit], minlength=len(block))).tolist()
+            row = row[hit].tolist()
+            coeff = np.where(slot[hit] & 1, 1, p - 1).tolist()  # (-1)**(slot - 1)
+            a = 0
+            for c, b in zip(block.tolist(), ends):
+                out[c] = dict(zip(row[a:b], coeff[a:b]))
+                a = b
+        return out
 
     return read
 
@@ -315,11 +374,13 @@ def _coboundary_columns(skel: Skeleton, k: int, p: int, cleared: np.ndarray,
                         adj: np.ndarray, table: np.ndarray):
     """(low, read) of δ_k for k >= 1, leaving out the columns in cleared,
     with no index built; adj is _adjacency of skel's edges and table an
-    _np_binom table with at least k + 3 columns.  δ_0 is not reduced: see
-    _spanning_forest.
+    _np_binom table with at least k + 3 columns.  The rows are positions in
+    layer k + 1; for k = dim_cap, whose layer above is not stored, they are
+    the rank keys of the cofaces, which is exact for a flag complex only.
+    δ_0 is not reduced: see _spanning_forest.
     """
     rows = skel.simplices[k]
-    keys_hi = _layer_ranks(skel.simplices[k + 1], table)
+    keys_hi = _layer_ranks(skel.simplices[k + 1], table) if k < skel.dim_cap else None
     live = np.ones(len(rows), dtype=bool)
     live[cleared] = False
     low = _lowest_cofaces(rows, keys_hi, adj, table, np.flatnonzero(live))
@@ -378,19 +439,24 @@ def _spanning_forest(edges: np.ndarray, nv: int) -> np.ndarray:
     return np.sort(np.concatenate([forest, np.array(joined, dtype=np.int64)]))
 
 
-def _check_rank(rank: int, n_rows: int, n_cols: int) -> None:
-    if rank > min(n_rows, n_cols):
-        raise RuntimeError(
-            f"rank {rank} of a {n_rows} x {n_cols} map: engine bug"
-        )
+def _check_rank(rank: int, n_rows: int | None, n_cols: int) -> None:
+    """Raise if rank passes the size of a map; n_rows is None for a map
+    whose rows are rank keys, which are never counted."""
+    if rank > (n_cols if n_rows is None else min(n_rows, n_cols)):
+        size = f"{n_cols}-column" if n_rows is None else f"{n_rows} x {n_cols}"
+        raise RuntimeError(f"rank {rank} of a {size} map: engine bug")
 
 
-def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
+def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, flag: bool = False):
     """Ranks of the boundary maps for dimensions 1..maxdim+1.
 
     Returns (ranks, top_known); ranks[j] = rank of the map from j-chains.
     top_known is False when the skeleton is truncated exactly at maxdim, in
-    which case ranks[maxdim+1] is a placeholder zero.
+    which case ranks[maxdim+1] is a placeholder zero; unless flag is set,
+    which says that skel is a flag complex, so that the cofaces of layer
+    maxdim come from the graph with no layer above stored.  That top map
+    names its rows by rank key, and its rank is checked against its live
+    columns.
     """
     # Imported here, so that a process that only enumerates does not carry
     # the logging module (about 0.6 MB of RSS).
@@ -398,43 +464,67 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
 
     log = logging.getLogger("cuberips")
     nv, counts = skel.num_vertices, skel.counts
+    keyed = flag and maxdim == skel.dim_cap and not skel.complete_flag
     # The table reaches the highest nonempty layer read, not maxdim + 1: a
     # wider one could overflow 63 bits for layers that are empty anyway.
     top = min(maxdim + 1, skel.dim_cap)
     while top and not counts[top]:
         top -= 1
+    if keyed:
+        top = maxdim + 1  # not stored, but nonempty: layer maxdim has cofaces
     table = _np_binom(nv, top + 1)
     ranks = [0] * (maxdim + 2)
     top_known = True
     cleared = np.zeros(0, dtype=np.int64)
     adj = _adjacency(skel.simplices[1], nv) if top >= 2 else None
     for k in range(maxdim + 1):
-        if k + 1 > skel.dim_cap:
+        stored = k < skel.dim_cap
+        if not (stored or keyed):
             top_known = skel.complete_flag
             break
-        n_hi = counts[k + 1]
-        if n_hi == 0:
+        if stored and counts[k + 1] == 0:
             continue
+        n_cleared = len(cleared)
         if k == 0:
             cleared = _spanning_forest(skel.simplices[1], nv)
             log.debug("δ_0: %d columns, %d edges in the spanning forest",
                       counts[0], len(cleared))
         else:
             stats: dict[str, int] = {}
-            n_cleared = len(cleared)
             # No local names: the columns and the keys they read are freed
             # once reduced.
             cleared = _reduce_index(
-                *_coboundary_columns(skel, k, p, cleared, adj, table), n_hi, p, stats
+                *_coboundary_columns(skel, k, p, cleared, adj, table), p, stats
             )
             log.debug(
-                "δ_%d: %d columns, %d cleared, %d settled in NumPy, %d read in "
-                "Python, %d additions", k, counts[k], n_cleared, stats["settled"],
-                stats["read"], stats["additions"],
+                "δ_%d: %d columns, %d cleared, %d settled in NumPy, %d read, "
+                "%d additions in %d rounds%s", k, counts[k], n_cleared,
+                stats["settled"], stats["read"], stats["additions"], stats["rounds"],
+                "" if stored else "; rows are rank keys",
             )
         ranks[k + 1] = len(cleared)
-        _check_rank(ranks[k + 1], *counts[k : k + 2])
+        if stored:
+            _check_rank(ranks[k + 1], *counts[k : k + 2])
+        else:
+            _check_rank(ranks[k + 1], None, counts[k] - n_cleared)
     return ranks, top_known
+
+
+def _betti_vector(skel: Skeleton, p: int, maxdim: int, flag: bool) -> BettiVector:
+    """betti_numbers without its argument checks; flag as in
+    _coboundary_ranks."""
+    if skel.num_vertices == 0:
+        return BettiVector(p, maxdim, (0,) * (maxdim + 1), maxdim)
+    counts = skel.counts
+    ranks, top_known = _coboundary_ranks(skel, maxdim, p, flag)
+    betti = tuple(
+        counts[i] - ranks[i] - ranks[i + 1] - (1 if i == 0 else 0)
+        for i in range(maxdim + 1)
+    )
+    trusted = maxdim if top_known else maxdim - 1
+    if any(b < 0 for b in betti[: trusted + 1]):
+        raise RuntimeError(f"negative Betti number {betti}: engine bug")
+    return BettiVector(p=p, maxdim=maxdim, reduced_betti=betti, trusted_through=trusted)
 
 
 def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
@@ -453,32 +543,22 @@ def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
         raise ValueError(
             f"maxdim {maxdim} exceeds dim_cap {skel.dim_cap}: insufficient skeleton"
         )
-    nv = skel.num_vertices
-    if nv == 0:
-        return BettiVector(p, maxdim, (0,) * (maxdim + 1), maxdim)
-    counts = skel.counts
-    ranks, top_known = _coboundary_ranks(skel, maxdim, p)
-    betti = tuple(
-        counts[i] - ranks[i] - ranks[i + 1] - (1 if i == 0 else 0)
-        for i in range(maxdim + 1)
-    )
-    trusted = maxdim if top_known else maxdim - 1
-    if any(b < 0 for b in betti[: trusted + 1]):
-        raise RuntimeError(f"negative Betti number {betti}: engine bug")
-    return BettiVector(p=p, maxdim=maxdim, reduced_betti=betti, trusted_through=trusted)
+    return _betti_vector(skel, p, maxdim, flag=False)
 
 
 def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
     """β̃_i of the flag complex of space, from the coboundary sweep over
-    layers 0..i+1.
+    layers 0..i.
 
-    Exact (not provisional): the full (i+1)-layer is enumerated, so the rank
-    of the map into dimension i is known.
+    Exact (not provisional): in a flag complex every common neighbour of an
+    i-simplex spans a coface, so the map into dimension i+1 is read from
+    the graph, its rows named by rank key, and layer i+1 is never built.
+    budget bounds the simplices of layers 0..i.
     """
     _check_prime(p)
     if i < 1:
         raise ValueError("i must be >= 1 (betti_numbers covers dimension 0)")
-    return betti_numbers(enumerate_skeleton(space, i + 1, budget), p, i).reduced_betti[i]
+    return _betti_vector(enumerate_skeleton(space, i, budget), p, i, flag=True).reduced_betti[i]
 
 
 def connected_components(skel: Skeleton) -> int:

@@ -313,3 +313,25 @@ def test_scale_three_four_sphere_count_for_the_nine_cube(p):
     assert result["betti"] == [0, 0, 0, 0, 1471]
     assert result["betti"][4] == conjectured_four_sphere_count(9)
     assert result["trusted"] == 4
+
+
+_NINE_CUBE_SINGLE_DIM_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from cuberips import SpaceSpec, betti_single_dim
+print(betti_single_dim(SpaceSpec.hypercube(9, 3), 4))
+"""
+
+
+@pytest.mark.slow
+def test_scale_three_four_sphere_count_for_the_nine_cube_by_single_dim():
+    # Layers 0..4 of the 9-cube at scale 3; δ_4 reads its cofaces from the
+    # graph and names them by rank key, so layer 5 (about 44 M simplices) is
+    # never built.  About 11 s and 1.1 GB on a 2-core x86-64 box; the child
+    # runs under a 2 GiB address-space limit.  The test above, which stores
+    # layer 5, is the independent check.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)))
+    child = subprocess.run([sys.executable, "-c", _NINE_CUBE_SINGLE_DIM_CHILD], env=env,
+                           capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout.splitlines()[-1]) == 1471 == conjectured_four_sphere_count(9)

@@ -133,15 +133,21 @@ def test_budget_abort_carries_partial_counts():
 
 
 def test_budget_abort_is_clean_at_every_size():
+    # betti_single_dim(space, 3) stores layers 0..3 (376 simplices) and
+    # reads the cofaces of layer 3 from the graph, so the budget bounds
+    # those layers only: below 376 it aborts as the enumeration does, and
+    # from 376 on it answers.
     space = SpaceSpec.hypercube(4, 2)
     counts = (16, 80, 160, 120, 16)  # 392 simplices; layer 5 is empty
     for budget in range(1, sum(counts)):
         # the layers finished before the abort: the longest prefix that fits
         fits = sum(1 for total in accumulate(counts) if total <= budget)
-        for run in (
-            lambda: enumerate_skeleton(space, 5, budget=budget),
-            lambda: betti_single_dim(space, 3, budget=budget),
-        ):
+        runs = [lambda: enumerate_skeleton(space, 5, budget=budget)]
+        if budget < sum(counts[:4]):
+            runs.append(lambda: betti_single_dim(space, 3, budget=budget))
+        else:
+            assert betti_single_dim(space, 3, budget=budget) == 9, f"budget={budget}"
+        for run in runs:
             with pytest.raises(SizeBudgetExceeded) as err:
                 run()
             assert err.value.partial_counts == counts[:fits], f"budget={budget}"
@@ -192,6 +198,60 @@ def test_byte_budget_aborts_under_a_low_address_space_limit():
     assert len(listed) == 1
     counts = tuple(int(c) for c in listed[0].split("\t")[1:])
     assert counts and counts == tuple(result["partial"][-1][: len(counts)])
+
+
+def _fake_cgroup(tmp_path, monkeypatch, proc: str, files: dict[str, str]) -> None:
+    """Point _cgroup_free_bytes at a cgroup file tree under tmp_path."""
+    tmp_path.mkdir(exist_ok=True)
+    (tmp_path / "cgroup").write_text(proc)
+    for name, text in files.items():
+        (tmp_path / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / name).write_text(text)
+    monkeypatch.setattr(complexes, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(complexes, "_CGROUP_ROOT", str(tmp_path / "fs"))
+
+
+def test_free_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch):
+    unbounded = complexes._free_bytes()
+    v2 = "0::/job/run\n"
+    _fake_cgroup(tmp_path / "a", monkeypatch, v2,
+                 {"job/run/memory.max": "max\n", "job/run/memory.current": "4096\n"})
+    assert complexes._cgroup_free_bytes() is None
+    _fake_cgroup(tmp_path / "b", monkeypatch, v2,
+                 {"job/run/memory.max": f"{3 << 20}\n", "job/run/memory.current": f"{1 << 20}\n"})
+    assert complexes._cgroup_free_bytes() == 2 << 20
+    assert complexes._free_bytes() == 2 << 20
+    # cgroup v1: the "memory" hierarchy, beside others and a v2 line with
+    # no memory controller
+    v1 = "5:cpu,cpuacct:/other\n4:memory:/box/job\n0::/\n"
+    _fake_cgroup(tmp_path / "c", monkeypatch, v1, {
+        "memory/box/job/memory.limit_in_bytes": f"{5 << 20}",
+        "memory/box/job/memory.usage_in_bytes": f"{1 << 20}",
+    })
+    assert complexes._free_bytes() == 4 << 20
+    # an unlimited v1 group reads a limit near 2**63, and a group that
+    # cannot be read bounds nothing
+    _fake_cgroup(tmp_path / "d", monkeypatch, v1, {
+        "memory/box/job/memory.limit_in_bytes": "9223372036854771712",
+        "memory/box/job/memory.usage_in_bytes": f"{1 << 20}",
+    })
+    assert abs(complexes._free_bytes() - unbounded) < 64 << 20
+    _fake_cgroup(tmp_path / "e", monkeypatch, v1, {})
+    assert complexes._cgroup_free_bytes() is None
+    monkeypatch.setattr(complexes, "_PROC_CGROUP", str(tmp_path / "missing"))
+    assert complexes._cgroup_free_bytes() is None
+
+
+def test_byte_budget_aborts_under_a_low_cgroup_limit(tmp_path, monkeypatch):
+    # Q7 at scale 3 needs about 330 MB; a cgroup with 64 MB left refuses a
+    # layer before it is allocated, as a low RLIMIT_AS does.
+    _fake_cgroup(tmp_path, monkeypatch, "0::/\n",
+                 {"memory.max": f"{(1 << 30) + (64 << 20)}", "memory.current": f"{1 << 30}"})
+    with pytest.raises(SizeBudgetExceeded, match="are left") as err:
+        enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
+    partial = err.value.partial_counts
+    assert 1 < len(partial) < 14
+    assert partial == enumerate_skeleton(SpaceSpec.hypercube(7, 3), len(partial) - 1).counts
 
 
 def test_enumerate_argument_validation():

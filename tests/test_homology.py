@@ -130,12 +130,16 @@ def test_face_closure_is_checked(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_each_reduced_map_logs_its_counts(caplog, p):
     # Over both fields one column of δ_1 collides, is read with the four
-    # owners it meets, and is zero over GF(2) but a new pivot over GF(3).
+    # owners it meets, one per round, and is zero over GF(2) but a new
+    # pivot over GF(3), whose row it takes in a fifth round, once a search
+    # has found that no column settled on it.
     with caplog.at_level(logging.DEBUG, logger="cuberips"):
         betti_numbers(skeleton_from_facets(RP2_FACETS), p=p)
+    rounds = {2: 4, 3: 5}[p]
     assert [r.getMessage() for r in caplog.records if r.name == "cuberips"] == [
         "δ_0: 6 columns, 5 edges in the spanning forest",
-        "δ_1: 15 columns, 5 cleared, 9 settled in NumPy, 5 read in Python, 4 additions",
+        "δ_1: 15 columns, 5 cleared, 9 settled in NumPy, 5 read, 4 additions "
+        f"in {rounds} rounds",
     ]
 
 
@@ -178,14 +182,22 @@ def _random_index(rng, n_rows, n_cols, p):
 def _check_reduction(entries, starts, p, dense, cleared=()):
     # Every reduction that takes lowest rows as pivots ends with the same
     # ones, in any column order: row i is one exactly when rows 0..i have a
-    # larger rank than rows 0..i-1.
+    # larger rank than rows 0..i-1.  Rows may be any ids that rise with row
+    # order, as rank keys are; one colliding column per block makes a block
+    # per column.
     low, read = _csr_columns(entries, starts, p, np.array(cleared, dtype=np.int64))
-    pivot_rows = homology._reduce_index(low, read, len(dense), p)
+    pivot_rows = homology._reduce_index(low, read, p)
     assert pivot_rows.dtype == np.int64
     assert len(pivot_rows) == gf_rank(dense, p)
-    assert pivot_rows.tolist() == [
+    want = [
         i for i in range(len(dense)) if gf_rank(dense[: i + 1], p) > gf_rank(dense[:i], p)
     ]
+    assert pivot_rows.tolist() == want
+    ids = np.cumsum(np.arange(1, len(dense) + 1) ** 2) + 1000  # rising, not dense
+    low, read = _csr_columns(entries, starts, p, np.array(cleared, dtype=np.int64), ids)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "_BLOCK", 1)
+        assert homology._reduce_index(low, read, p).tolist() == ids[want].tolist()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -207,7 +219,7 @@ def test_reduce_index_reduces_onto_a_later_owner(p):
     entries = np.array([2 * r for col in columns for r in col], dtype=np.int64)
     starts = np.array([0, 2, 4, 6], dtype=np.int64)
     low, read = _csr_columns(entries, starts, p, np.zeros(0, dtype=np.int64))
-    got = homology._reduce_index(low, read, 6, p)
+    got = homology._reduce_index(low, read, p)
     assert got.tolist() == [1, 2, 3]
 
 
@@ -309,6 +321,56 @@ def test_single_dim_matches_closed_form_across_words(m):
     assert betti_single_dim(SpaceSpec(m=m, r=2), 3) == three_sphere_count(m)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_single_dim_equals_the_vector_on_every_prefix(r, p):
+    # The top map of betti_single_dim names its rows by rank key and builds
+    # no layer above; the vector reads layer i + 1 from a stored skeleton.
+    # Through dimension 7 of layers 0..8 its values are those of
+    # betti_numbers(enumerate_skeleton(space, i + 1), p, i) for every i.
+    for m in range(1, 65):
+        space = SpaceSpec(m=m, r=r)
+        want = betti_numbers(enumerate_skeleton(space, 8), p, 7)
+        assert want.trusted_through == 7
+        got = tuple(betti_single_dim(space, i, p) for i in range(1, 8))
+        assert got == want.reduced_betti[1:], f"m={m}"
+
+
+def test_single_dim_never_builds_the_layer_above(monkeypatch):
+    widths = []
+    real_next, real_ranks = complexes._next_layer, homology._layer_ranks
+
+    def next_layer(rows, *args):
+        widths.append(rows.shape[1] + 1)
+        return real_next(rows, *args)
+
+    def layer_ranks(rows, table):
+        widths.append(rows.shape[1])
+        return real_ranks(rows, table)
+
+    monkeypatch.setattr(complexes, "_next_layer", next_layer)
+    monkeypatch.setattr(homology, "_layer_ranks", layer_ranks)
+    for space, i, want in ((SpaceSpec.hypercube(5, 2), 3, 49),
+                           (SpaceSpec.hypercube(4, 3), 7, 1),
+                           (SpaceSpec(m=100, r=2), 3, three_sphere_count(100)),
+                           (SpaceSpec.hypercube(6, 3), 4, 11)):
+        widths.clear()
+        assert betti_single_dim(space, i) == want
+        # layers 0..i have widths 1..i+1
+        assert widths and max(widths) == i + 1
+
+
+def test_top_map_keyed_by_rank_reduces_its_collisions(caplog):
+    # δ_4 of Q6 at scale 3 is the one map of the sweep whose columns
+    # collide; as the top map of betti_single_dim its rows are rank keys.
+    with caplog.at_level(logging.DEBUG, logger="cuberips"):
+        assert betti_single_dim(SpaceSpec.hypercube(6, 3), 4) == 11
+    assert [r.getMessage() for r in caplog.records if r.name == "cuberips"][-1] == (
+        "δ_4: 144704 columns, 44529 cleared, 99812 settled in NumPy, 1232 read, "
+        "1221 additions in 14 rounds; rows are rank keys"
+    )
+
+
 def test_connected_components():
     assert connected_components(enumerate_skeleton(SpaceSpec(m=8, r=0), 1)) == 8
     assert connected_components(enumerate_skeleton(SpaceSpec(m=8, r=1), 1)) == 1
@@ -354,14 +416,14 @@ def test_vertex_coboundary_pivots_are_the_joining_edges(p):
     assert homology._spanning_forest(by_hand.simplices[1], 4).tolist() == [0, 1, 2]
     skeletons.append(by_hand)
     for skel in skeletons:
-        n_vertices, n_edges = skel.counts[:2]
+        n_vertices = skel.num_vertices
         facet_rows = homology._facet_row_indices(
             skel.simplices[1], skel.layer_keys(0), n_vertices
         )
         low, read = _csr_columns(
             *_coboundary_reference(facet_rows, n_vertices), p, np.zeros(0, dtype=np.int64)
         )
-        pivot_rows = homology._reduce_index(low, read, n_edges, p)
+        pivot_rows = homology._reduce_index(low, read, p)
         forest = homology._spanning_forest(skel.simplices[1], n_vertices)
         assert forest.dtype == np.int64
         assert forest.tolist() == pivot_rows.tolist() == _joining_edges(skel)
@@ -469,18 +531,22 @@ def _coboundary_reference(facet_rows: np.ndarray, n_lo: int):
     return order // width << 1 | order % width & 1, starts
 
 
-def _csr_columns(entries: np.ndarray, starts: np.ndarray, p: int, cleared: np.ndarray):
+def _csr_columns(entries: np.ndarray, starts: np.ndarray, p: int, cleared: np.ndarray,
+                 ids=None):
     """(low, read) of the columns entries[starts[c]:starts[c+1]], leaving
     out the columns in cleared, for _reduce_index.  An entry 2*row + s, in
-    ascending row order, stands for the coefficient (-1)**s in that row."""
+    ascending row order, stands for the coefficient (-1)**s in row ids[row]
+    (in row itself when ids is None)."""
+    ids = np.arange(entries.max(initial=0) // 2 + 1) if ids is None else np.asarray(ids)
     low = np.full(len(starts) - 1, -1, dtype=np.int64)
     full = np.flatnonzero(np.diff(starts) > 0)
-    low[full] = entries[starts[full]] >> 1
+    low[full] = ids[entries[starts[full]] >> 1]
     low[cleared] = -1
 
-    def read(c: int) -> dict[int, int]:
-        return {e >> 1: p - 1 if e & 1 else 1
-                for e in entries[starts[c] : starts[c + 1]].tolist()}
+    def read(cols: np.ndarray) -> dict[int, dict[int, int]]:
+        return {c: {int(ids[e >> 1]): p - 1 if e & 1 else 1
+                    for e in entries[starts[c] : starts[c + 1]].tolist()}
+                for c in cols.tolist()}
 
     return low, read
 
@@ -529,8 +595,9 @@ def _assert_columns_match_the_index(skel: Skeleton, p: int, rng) -> None:
         low, read = homology._coboundary_columns(skel, k, p, cleared, adj, table)
         assert low.dtype == np.int64
         assert low.tolist() == want_low.tolist(), f"k={k}"
+        got, want = read(np.arange(n)), want_read(np.arange(n))
         for c in range(n):
-            assert list(read(c).items()) == list(want_read(c).items()), f"k={k} c={c}"
+            assert list(got[c].items()) == list(want[c].items()), f"k={k} c={c}"
 
 
 def _derived_skeletons(rng) -> list[Skeleton]:
@@ -574,6 +641,43 @@ def test_implicit_columns_match_the_index_across_words(m):
             _assert_columns_match_the_index(skel, p, rng)
 
 
+def _flag_builds(rng):
+    """Builders cap -> skeleton of flag complexes, and their top dimension."""
+    builds = []
+    for _ in range(20):
+        nv = int(rng.integers(2, 11))
+        edges = [e for e in combinations(range(nv), 2) if rng.random() < 0.5]
+        builds.append(lambda cap, nv=nv, edges=edges: flag_skeleton_from_graph(
+            range(nv), edges, cap))
+    for m, r in ((65, 2), (129, 2), (24, 3)):
+        builds.append(lambda cap, m=m, r=r: enumerate_skeleton(SpaceSpec(m=m, r=r), cap))
+    return [(build, build(64).top_dimension()) for build in builds]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_top_map_rows_are_the_rank_keys_of_the_layer_above(p, monkeypatch):
+    # At k = dim_cap the columns of δ_k name each coface by its rank key;
+    # with layer k+1 stored they name it by its position among those keys.
+    monkeypatch.setattr(homology, "_BLOCK", 61)  # many blocks per layer
+    rng = np.random.default_rng(90 + p)
+    for build, top in _flag_builds(rng):
+        for k in range(1, top):
+            narrow, wide = build(k), build(k + 1)
+            nv, n = narrow.num_vertices, narrow.counts[k]
+            adj = homology._adjacency(narrow.simplices[1], nv)
+            table = homology._np_binom(nv, k + 2)
+            keys = wide.layer_keys(k + 1)
+            cleared = np.flatnonzero(rng.random(n) < 0.2)
+            low, read = homology._coboundary_columns(narrow, k, p, cleared, adj, table)
+            want_low, want_read = homology._coboundary_columns(wide, k, p, cleared, adj, table)
+            assert low.tolist() == np.where(want_low >= 0, keys[want_low], -1).tolist()
+            got, want = read(np.arange(n)), want_read(np.arange(n))
+            assert [list(got[c].items()) for c in range(n)] == [
+                [(int(keys[row]), coeff) for row, coeff in want[c].items()]
+                for c in range(n)
+            ], f"k={k}"
+
+
 def test_relabelling_does_not_change_betti(q4r2):
     rng = np.random.default_rng(11)
     edges = q4r2.simplices[1].tolist()
@@ -589,8 +693,8 @@ def test_relabelling_does_not_change_betti(q4r2):
 def test_negative_betti_raises(monkeypatch):
     real = homology._coboundary_ranks
 
-    def inflated(skel, maxdim, p):
-        ranks, top_known = real(skel, maxdim, p)
+    def inflated(skel, maxdim, p, flag=False):
+        ranks, top_known = real(skel, maxdim, p, flag)
         ranks[1] += 1
         return ranks, top_known
 
@@ -607,8 +711,8 @@ def test_rank_above_matrix_size_raises(monkeypatch):
         forest = real_forest(edges, nv)
         return np.pad(forest, (0, nv + 1 - len(forest)))
 
-    def inflated_reduce(low, read, n_rows, p, stats=None):
-        pivot_rows = real_reduce(low, read, n_rows, p, stats)
+    def inflated_reduce(low, read, p, stats=None):
+        pivot_rows = real_reduce(low, read, p, stats)
         return np.pad(pivot_rows, (0, len(low) + 1 - len(pivot_rows)))
 
     monkeypatch.setattr(homology, "_spanning_forest", inflated_forest)
@@ -620,6 +724,10 @@ def test_rank_above_matrix_size_raises(monkeypatch):
     monkeypatch.setattr(homology, "_reduce_index", inflated_reduce)
     with pytest.raises(RuntimeError, match="rank 25 of a 24 x 32 map"):
         betti_single_dim(SpaceSpec.hypercube(3, 2), 2)
+    # The top map of betti_single_dim has no row count: its rank is checked
+    # against its 24 - 7 live columns.
+    with pytest.raises(RuntimeError, match="rank 25 of a 17-column map"):
+        betti_single_dim(SpaceSpec.hypercube(3, 2), 1)
 
 
 def test_the_sweep_reduces_no_explicit_index(monkeypatch):
@@ -636,15 +744,15 @@ def test_the_sweep_reduces_no_explicit_index(monkeypatch):
     def counting_reader(*args):
         read = real_reader(*args)
 
-        def counted(c):
-            reads.append(c)
-            return read(c)
+        def counted(cols):
+            reads.extend(cols.tolist())
+            return read(cols)
 
         return counted
 
-    def reporting_reduce(low, read, n_rows, p, stats=None):
+    def reporting_reduce(low, read, p, stats=None):
         stats = {} if stats is None else stats
-        pivot_rows = real_reduce(low, read, n_rows, p, stats)
+        pivot_rows = real_reduce(low, read, p, stats)
         kernel_reads.append(stats["read"])
         return pivot_rows
 
