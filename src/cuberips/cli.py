@@ -6,7 +6,7 @@ anything, and ``verify`` runs a named checking suite.  Reports print as TSV
 or as JSON that parses back into the same report object.
 
 Exit codes: 0 all good, 1 mathematical mismatch, 2 budget or resource
-failure, 3 invalid arguments.
+failure (memory, or rank keys past 63 bits), 3 invalid arguments.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .experiments import (
 )
 from .formulas import predicted_betti, three_sphere_count
 from .hamming import SpaceSpec
-from .homology import betti_numbers, betti_single_dim
+from .homology import _check_args, betti_numbers, betti_single_dim
 from .oracle import betti_numbers_dense, random_flag_skeleton
 
 
@@ -134,6 +134,7 @@ def _emit(report: _JsonReport, fmt: str, tsv_lines: list[str]) -> None:
 
 def cmd_betti(args, parser) -> int:
     space = _space_from_args(args, parser)
+    _check_args(args.field, args.maxdim)  # before enumerating, which may take long
     t0 = time.perf_counter()
     skel = enumerate_skeleton(space, args.maxdim + 1, budget=args.budget)
     bv = betti_numbers(skel, p=args.field, maxdim=args.maxdim)
@@ -371,6 +372,9 @@ def main(argv=None) -> int:
         if err.partial_counts:
             counts = "\t".join(str(c) for c in err.partial_counts)
             print(f"partial counts\t{counts}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as err:
+        print(f"resource exhausted: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -5,7 +5,8 @@ A skeleton stores one index array per dimension.  Rows are vertex indices
 into ``verts`` (the sorted external labels), ascending within each row, and
 rows are sorted colexicographically — the order of combinatorial-number-system
 ranks.  These uint32 row arrays are the only simplex format: enumeration
-produces them directly and homology reads them.
+produces them directly and homology reads them.  Their ranks, as int64 rank
+keys, are made in this module alone, from one shared binomial table.
 
 Every flag skeleton — of a Hamming space, an explicit graph, a link or a
 Kneser complement — is built by one constructor, ``_flag_complex``, from
@@ -77,8 +78,15 @@ def _resolve_budget(budget) -> int:
     return budget
 
 
+_binom = np.zeros((0, 0), dtype=np.int64)  # the table that _np_binom shares
+
+
 def _np_binom(nv: int, tmax: int) -> np.ndarray:
-    """Table of C(v, t) for v <= nv, t <= tmax, as int64.
+    """Table of C(v, t) for v <= nv, t <= tmax, as int64: the one read-only
+    table of the process, which may be larger.  Its entry [v, t] is C(v, t)
+    modulo 2**64, so exact wherever C(v, t) < 2**63, as on the block asked
+    for.  A request it does not cover replaces it by a table that covers
+    both; none is written in place, so a table a caller holds stays valid.
 
     Raises OverflowError if any needed value would overflow the 63-bit rank
     keys.  That limit is met by real complexes, not only by huge ones: at
@@ -86,25 +94,60 @@ def _np_binom(nv: int, tmax: int) -> np.ndarray:
     nonempty and within the default budget, and its keys need C(256, 12),
     which is above 2**63.
     """
+    global _binom
     if math.comb(nv, min(tmax, nv // 2)) > _RANK_LIMIT:
         raise OverflowError(
             f"rank keys for {nv} vertices at {tmax} slots exceed 63 bits"
         )
-    out = np.zeros((nv + 1, tmax + 1), dtype=np.int64)
-    out[:, 0] = 1
-    for t in range(1, tmax + 1):
-        # Pascal: C(v, t) = C(v-1, t) + C(v-1, t-1)
-        np.cumsum(out[: nv + 1, t - 1][:-1], out=out[1:, t])
-    return out
+    rows, cols = _binom.shape
+    if nv >= rows or tmax >= cols:
+        out = np.zeros((max(rows, nv + 1), max(cols, tmax + 1)), dtype=np.int64)
+        out[:, 0] = 1
+        for t in range(1, out.shape[1]):
+            # Pascal: C(v, t) = C(v-1, t) + C(v-1, t-1)
+            np.cumsum(out[:-1, t - 1], out=out[1:, t])
+        out.flags.writeable = False
+        _binom = out
+    return _binom
 
 
-def _layer_ranks(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Combinatorial-number-system rank of each row: sum of C(row[t], t+1),
-    read from an _np_binom table with at least width + 1 columns."""
+def _layer_ranks(rows: np.ndarray, nv: int) -> np.ndarray:
+    """Combinatorial-number-system rank of each row of vertices below nv:
+    sum of C(row[t], t+1).  No rows need no table, whose entries may pass
+    63 bits."""
     out = np.zeros(len(rows), dtype=np.int64)
+    if len(rows) == 0:
+        return out
+    table = _np_binom(nv, rows.shape[1])
     for t in range(rows.shape[1]):
         out += table[rows[:, t], t + 1]
     return out
+
+
+def _coface_keys(s: np.ndarray, v: np.ndarray, nv: int):
+    """(key, slot) of the coface s[j] + v[j] for each j, where s is an
+    int64 array of rows of vertices below nv and no v[j] is in s[j]: its
+    rank key C(v, t+1) + sum_i C(s_i, i+1+[s_i > v]) and slot = t + 1, for
+    t = #{s_i < v} the position v takes.  No cofaces need no table."""
+    slot = np.full(len(v), s.shape[1] + 1)
+    key = np.zeros(len(v), dtype=np.int64)
+    if len(v) == 0:
+        return key, slot
+    table = _np_binom(nv, s.shape[1] + 1)
+    flat, stride = table.ravel(), table.shape[1]
+    for i in range(s.shape[1]):
+        above = s[:, i] > v
+        slot -= above
+        key += flat[s[:, i] * stride + (i + 1) + above]
+    key += flat[v * stride + slot]
+    return key, slot
+
+
+def _find(keys: np.ndarray, key):
+    """(pos, hit): where each key sits in the nonempty sorted array keys,
+    clipped to its last position, and whether it is there."""
+    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    return pos, keys[pos] == key
 
 
 @dataclass(eq=False)
@@ -171,12 +214,8 @@ class Skeleton:
         return -1
 
     def layer_keys(self, k: int) -> np.ndarray:
-        """Sorted int64 rank keys of the dimension-k layer.  An empty layer
-        builds no binomial table, whose entries may pass 63 bits."""
-        rows = self.simplices[k]
-        if len(rows) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return _layer_ranks(rows, _np_binom(self.num_vertices, k + 1))
+        """Sorted int64 rank keys of the dimension-k layer."""
+        return _layer_ranks(self.simplices[k], self.num_vertices)
 
     def has_simplex(self, sigma) -> bool:
         """Membership test for a simplex given by external labels."""
@@ -187,8 +226,7 @@ class Skeleton:
                 f"dimension {rank.dimension} above dim_cap {self.dim_cap}"
             )
         keys = self.layer_keys(rank.dimension)
-        pos = int(np.searchsorted(keys, rank.rank))
-        return pos < len(keys) and int(keys[pos]) == rank.rank
+        return len(keys) > 0 and bool(_find(keys, rank.rank)[1])
 
 
 def _built(verts, simplices, dim_cap: int, complete_flag: bool) -> Skeleton:
@@ -229,11 +267,9 @@ def _facet_row_indices(rows: np.ndarray, keys_lo: np.ndarray, nv: int) -> np.nda
             # Dropping t instead of t+1 puts v_{t+1} in slot t, where v_t was.
             key += table[rows[:, t + 1], t + 1]
             key -= table[rows[:, t], t + 1]
-        idx = np.searchsorted(keys_lo, key)
-        np.minimum(idx, len(keys_lo) - 1, out=idx)
-        if (keys_lo[idx] != key).any():
+        out[:, t], hit = _find(keys_lo, key)
+        if not hit.all():
             raise ValueError("skeleton is not closed under faces")
-        out[:, t] = idx
     return out
 
 
@@ -495,6 +531,8 @@ def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
     (default 2**28), or if a layer would need more bytes than the process
     may still allocate.
     """
+    if space.m > (budget := _resolve_budget(budget)):  # before any array
+        raise SizeBudgetExceeded(f"budget {budget} exceeded at dimension 0")
     # The neighbours u of v are v ^ f for the flips f; each edge is kept
     # once, from its lower end v < u < m.
     v = np.arange(space.m, dtype=np.int64)[:, None]

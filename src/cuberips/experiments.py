@@ -17,8 +17,6 @@ from .complexes import (
     SizeBudgetExceeded,
     Skeleton,
     _facet_row_indices,
-    _layer_ranks,
-    _np_binom,
     _resolve_budget,
     _restrict,
     delete_vertex,
@@ -265,8 +263,7 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     if top <= target_dim:
         return CollapseOutcome(top, "collapsed_to_target", 0, residual=skel)
     counts, nv = skel.counts, skel.num_vertices
-    table = _np_binom(nv, top)
-    keys = {k: _layer_ranks(skel.simplices[k], table) for k in range(target_dim, top)}
+    keys = {k: skel.layer_keys(k) for k in range(target_dim, top)}
     facet_rows = {
         k: _facet_row_indices(skel.simplices[k], keys[k - 1], nv)
         for k in range(target_dim + 1, top + 1)

@@ -21,8 +21,7 @@ key itself on the top map of ``betti_single_dim``: in a flag complex every
 common neighbour spans a coface, so no search is needed and no layer above.
 Full columns are enumerated the same way, in NumPy, a batch at a time, only
 when the kernel reads them (``_coface_reader``).  An entry whose new vertex
-lands in slot t carries the coefficient (-1)**t.  One binomial table, as
-wide as the highest layer the sweep reaches, serves every key of a call.
+lands in slot t carries the coefficient (-1)**t.
 
 The cofaces come from the graph and the forest from the edge order, so the
 sweep trusts the skeleton to be closed under faces and in colex order, as
@@ -55,9 +54,9 @@ import numpy as np
 
 from .complexes import (
     Skeleton,
+    _coface_keys,
     _facet_row_indices,
-    _layer_ranks,
-    _np_binom,
+    _find,
     _pack_graph,
     enumerate_skeleton,
 )
@@ -68,10 +67,12 @@ from .hamming import SpaceSpec
 _BLOCK = 1 << 16
 
 
-def _check_prime(p: int) -> int:
+def _check_args(p: int, maxdim: int = 0) -> None:
+    """Raise ValueError unless p is prime and maxdim is nonnegative."""
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p={p} is not prime")
-    return p
+    if maxdim < 0:
+        raise ValueError("maxdim must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class SparseBoundaryMatrix:
 
 def boundary_matrix(skel: Skeleton, k: int, p: int = 2) -> SparseBoundaryMatrix:
     """Explicit sparse boundary map in dimension k (1 <= k <= dim_cap)."""
-    _check_prime(p)
+    _check_args(p)
     if not 1 <= k <= skel.dim_cap:
         raise ValueError(f"k={k} outside 1..{skel.dim_cap}")
     return SparseBoundaryMatrix(
@@ -174,7 +175,6 @@ def _reduce_index(low: np.ndarray, read, p: int,
     lows, owners = at[first], live[first]
     colliding = np.sort(live[~first])[::-1]
     del live, at, first
-    last = len(lows) - 1
 
     # held[row] is the owner of row as a {row: coeff} dict once it is read:
     # a settled column that a collision needed, or a reduced column.
@@ -190,8 +190,8 @@ def _reduce_index(low: np.ndarray, read, p: int,
             wait = wait[np.fromiter((r not in held for r in wait.tolist()), bool, len(wait))]
         while run:
             rounds += 1
-            at = np.minimum(np.searchsorted(lows, wait), last)
-            at = np.sort(at[lows[at] == wait])
+            at, hit = _find(lows, wait)
+            at = np.sort(at[hit])
             at = at[np.flatnonzero(np.diff(at, prepend=-1))]  # once each
             got = read(np.concatenate([fresh, owners[at]]))
             reads += len(fresh) + len(at)
@@ -245,23 +245,6 @@ def _adjacency(edges: np.ndarray, nv: int) -> np.ndarray:
     return _pack_graph(np.concatenate([a, b]), np.concatenate([b, a]), nv)
 
 
-def _coface_keys(s: np.ndarray, v: np.ndarray, table: np.ndarray):
-    """(key, slot) of the coface s[j] + v[j] for each j, where s is an
-    int64 array of rows and no v[j] is in s[j]: its rank key
-    C(v, t+1) + sum_i C(s_i, i+1+[s_i > v]) and slot = t + 1, for
-    t = #{s_i < v} the position v takes.  table is an _np_binom table with
-    at least width + 2 columns."""
-    flat, stride = table.ravel(), table.shape[1]
-    slot = np.full(len(v), s.shape[1] + 1)
-    key = np.zeros(len(v), dtype=np.int64)
-    for i in range(s.shape[1]):
-        above = s[:, i] > v
-        slot -= above
-        key += flat[s[:, i] * stride + (i + 1) + above]
-    key += flat[v * stride + slot]
-    return key, slot
-
-
 def _coface_rows(key: np.ndarray, keys_hi: np.ndarray | None):
     """(row, hit): the row of each coface key, and whether it is one.  The
     rows are positions in the sorted rank keys keys_hi, or, when keys_hi is
@@ -269,12 +252,11 @@ def _coface_rows(key: np.ndarray, keys_hi: np.ndarray | None):
     every common neighbour v of s spans the coface s + v."""
     if keys_hi is None:
         return key, np.ones(len(key), dtype=bool)
-    row = np.minimum(np.searchsorted(keys_hi, key), len(keys_hi) - 1)
-    return row, keys_hi[row] == key
+    return _find(keys_hi, key)
 
 
 def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray,
-                    table: np.ndarray, cols: np.ndarray) -> np.ndarray:
+                    cols: np.ndarray) -> np.ndarray:
     """Row (see _coface_rows) of the lowest coface of each simplex rows[c]
     for c in cols; -1 for the other columns and for a simplex with no
     coface.
@@ -288,7 +270,7 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarra
     _BLOCK, so the temporaries stay small on any layer.
     """
     low = np.full(len(rows), -1, dtype=np.int64)
-    width = rows.shape[1]
+    nv, width = len(adj), rows.shape[1]
     # np.take(..., axis=0) gathers rows several times faster than indexing.
     for start in range(0, len(cols), _BLOCK):
         block = cols[start : start + _BLOCK]
@@ -307,7 +289,7 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarra
             while len(at):
                 one = bits & (~bits + 1)  # the lowest set bit
                 v = 64 * w + np.bitwise_count(one - 1).astype(np.int64)
-                row, hit = _coface_rows(_coface_keys(s, v, table)[0], keys_hi)
+                row, hit = _coface_rows(_coface_keys(s, v, nv)[0], keys_hi)
                 low[block[at[hit]]] = row[hit]
                 bits ^= one
                 later.append(at[~hit & (bits == 0)])
@@ -318,21 +300,21 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarra
 
 
 def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray,
-                   table: np.ndarray, p: int):
+                   p: int):
     """read(cols): the coboundary columns over GF(p) of the simplices
     rows[c] for c in the int64 array cols, as {c: {row: coeff}} with each
     column's rows (see _coface_rows) in ascending order.  adj is the graph
-    from _adjacency and table an _np_binom table with at least width + 2
-    columns.
+    from _adjacency.
 
     A column s reads its cofaces s + v over the common neighbours v of its
     vertices, with coefficient (-1)**t for t = #{s_i < v}.  The columns go
     _BLOCK at a time: one AND of adjacency rows per vertex position gives
-    their common neighbours, whose nonzero words are unpacked one word at a
-    time; one _coface_keys and one _coface_rows then serve every coface of
-    the block, and only the dicts are built in Python.
+    their common neighbours, and one unpacking of all their words lists
+    every coface of the block in one pass, in row-major order, which is by
+    column and then by ascending v.  One _coface_keys and one _coface_rows
+    then serve them all, and only the dicts are built in Python.
     """
-    width = rows.shape[1]
+    nv, width = len(adj), rows.shape[1]
 
     def read(cols: np.ndarray) -> dict[int, dict[int, int]]:
         out: dict[int, dict[int, int]] = {}
@@ -342,21 +324,10 @@ def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray
             common = np.take(adj, s[:, 0], axis=0)
             for i in range(1, width):
                 common &= np.take(adj, s[:, i], axis=0)
-            at, v = [], []
-            for w in range(adj.shape[1]):
-                some = np.flatnonzero(common[:, w])
-                bits = np.flatnonzero(
-                    np.unpackbits(common[some, w].view(np.uint8), bitorder="little")
-                )
-                at.append(some[bits >> 6])
-                v.append(64 * w + (bits & 63))
+            at, v = np.divmod(np.flatnonzero(np.unpackbits(
+                common.view(np.uint8), bitorder="little")), 64 * adj.shape[1])
             del common
-            # word by word, then column by column: a stable sort on the
-            # column puts each column's cofaces in ascending v
-            at, v = np.concatenate(at), np.concatenate(v)
-            by = np.argsort(at, kind="stable")
-            at, v = at[by], v[by]
-            key, slot = _coface_keys(np.take(s, at, axis=0), v, table)
+            key, slot = _coface_keys(np.take(s, at, axis=0), v, nv)
             row, hit = _coface_rows(key, keys_hi)
             ends = np.cumsum(np.bincount(at[hit], minlength=len(block))).tolist()
             row = row[hit].tolist()
@@ -371,20 +342,19 @@ def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray
 
 
 def _coboundary_columns(skel: Skeleton, k: int, p: int, cleared: np.ndarray,
-                        adj: np.ndarray, table: np.ndarray):
+                        adj: np.ndarray):
     """(low, read) of δ_k for k >= 1, leaving out the columns in cleared,
-    with no index built; adj is _adjacency of skel's edges and table an
-    _np_binom table with at least k + 3 columns.  The rows are positions in
-    layer k + 1; for k = dim_cap, whose layer above is not stored, they are
-    the rank keys of the cofaces, which is exact for a flag complex only.
-    δ_0 is not reduced: see _spanning_forest.
+    with no index built; adj is _adjacency of skel's edges.  The rows are
+    positions in layer k + 1; for k = dim_cap, whose layer above is not
+    stored, they are the rank keys of the cofaces, which is exact for a
+    flag complex only.  δ_0 is not reduced: see _spanning_forest.
     """
     rows = skel.simplices[k]
-    keys_hi = _layer_ranks(skel.simplices[k + 1], table) if k < skel.dim_cap else None
+    keys_hi = skel.layer_keys(k + 1) if k < skel.dim_cap else None
     live = np.ones(len(rows), dtype=bool)
     live[cleared] = False
-    low = _lowest_cofaces(rows, keys_hi, adj, table, np.flatnonzero(live))
-    return low, _coface_reader(rows, keys_hi, adj, table, p)
+    low = _lowest_cofaces(rows, keys_hi, adj, np.flatnonzero(live))
+    return low, _coface_reader(rows, keys_hi, adj, p)
 
 
 def _spanning_forest(edges: np.ndarray, nv: int) -> np.ndarray:
@@ -465,18 +435,10 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, flag: bool = False):
     log = logging.getLogger("cuberips")
     nv, counts = skel.num_vertices, skel.counts
     keyed = flag and maxdim == skel.dim_cap and not skel.complete_flag
-    # The table reaches the highest nonempty layer read, not maxdim + 1: a
-    # wider one could overflow 63 bits for layers that are empty anyway.
-    top = min(maxdim + 1, skel.dim_cap)
-    while top and not counts[top]:
-        top -= 1
-    if keyed:
-        top = maxdim + 1  # not stored, but nonempty: layer maxdim has cofaces
-    table = _np_binom(nv, top + 1)
     ranks = [0] * (maxdim + 2)
     top_known = True
     cleared = np.zeros(0, dtype=np.int64)
-    adj = _adjacency(skel.simplices[1], nv) if top >= 2 else None
+    adj = _adjacency(skel.simplices[1], nv) if min(maxdim, skel.dim_cap) >= 1 else None
     for k in range(maxdim + 1):
         stored = k < skel.dim_cap
         if not (stored or keyed):
@@ -494,7 +456,7 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, flag: bool = False):
             # No local names: the columns and the keys they read are freed
             # once reduced.
             cleared = _reduce_index(
-                *_coboundary_columns(skel, k, p, cleared, adj, table), p, stats
+                *_coboundary_columns(skel, k, p, cleared, adj), p, stats
             )
             log.debug(
                 "δ_%d: %d columns, %d cleared, %d settled in NumPy, %d read, "
@@ -534,11 +496,9 @@ def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
     certified only if the (maxdim+1)-layer was stored or the skeleton is
     complete; otherwise trusted_through = maxdim - 1.
     """
-    _check_prime(p)
     if maxdim is None:
         maxdim = skel.dim_cap
-    if maxdim < 0:
-        raise ValueError("maxdim must be nonnegative")
+    _check_args(p, maxdim)
     if maxdim > skel.dim_cap:
         raise ValueError(
             f"maxdim {maxdim} exceeds dim_cap {skel.dim_cap}: insufficient skeleton"
@@ -555,7 +515,7 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
     the graph, its rows named by rank key, and layer i+1 is never built.
     budget bounds the simplices of layers 0..i.
     """
-    _check_prime(p)
+    _check_args(p)
     if i < 1:
         raise ValueError("i must be >= 1 (betti_numbers covers dimension 0)")
     return _betti_vector(enumerate_skeleton(space, i, budget), p, i, flag=True).reduced_betti[i]

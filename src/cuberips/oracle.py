@@ -13,14 +13,14 @@ from itertools import combinations
 import numpy as np
 
 from .complexes import Skeleton, SizeBudgetExceeded, flag_skeleton_from_graph
-from .homology import BettiVector, SparseBoundaryMatrix, _check_prime
+from .homology import BettiVector, SparseBoundaryMatrix, _check_args
 
 _DENSE_CELL_CAP = 10**7
 
 
 def gf_rank(mat, p: int = 2) -> int:
     """Matrix rank over GF(p) by dense row elimination."""
-    _check_prime(p)
+    _check_args(p)
     a = np.array(mat, dtype=np.int64) % p
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -58,7 +58,7 @@ def dense_rank_oracle(mat: SparseBoundaryMatrix) -> int:
 
 def betti_numbers_dense(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
     """Same contract as homology.betti_numbers, via the dense route."""
-    _check_prime(p)
+    _check_args(p)
     if maxdim is None:
         maxdim = skel.dim_cap
     if maxdim < 0 or maxdim > skel.dim_cap:

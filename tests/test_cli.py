@@ -95,6 +95,43 @@ def test_budget_failures_exit_2(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_resource_failures_exit_2(capsys, monkeypatch):
+    # Q40 has 2**40 vertices, past the default budget before any array is
+    # built; the keys of layer 9 of Q9 at scale 2 need more than 63 bits.
+    monkeypatch.delenv("VRQ_BUDGET", raising=False)
+    assert main(["betti", "--n", "40", "--r", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "budget exceeded: budget 268435456 exceeded at dimension 0\n"
+    )
+    assert main(["betti", "--n", "9", "--r", "2", "--maxdim", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "resource exhausted: OverflowError: "
+        "rank keys for 512 vertices at 10 slots exceed 63 bits\n"
+    )
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(cli, "enumerate_skeleton", out_of_memory)
+    assert main(["betti", "--n", "4", "--r", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "resource exhausted: MemoryError: Unable to allocate 8.00 TiB\n"
+    )
+
+
+def test_betti_checks_its_arguments_before_enumerating(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerated before checking the arguments")
+
+    monkeypatch.setattr(cli, "enumerate_skeleton", unreachable)
+    argv = ["betti", "--n", "7", "--r", "3", "--maxdim", "6"]
+    assert main(argv + ["--field", "4"]) == 3
+    assert capsys.readouterr().err == "error: p=4 is not prime\n"
+    for maxdim in ("-1", "-2"):
+        assert main(["betti", "--n", "3", "--r", "1", "--maxdim", maxdim]) == 3
+        assert capsys.readouterr().err == "error: maxdim must be nonnegative\n"
+
+
 def test_explicit_budget_beats_environment(capsys, monkeypatch):
     monkeypatch.setenv("VRQ_BUDGET", "100")
     assert main(["betti", "--n", "4", "--r", "2", "--budget", "1000"]) == 0
@@ -154,6 +191,21 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert main(["verify", "kneser", "--nmax", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("FAIL\tn=4")
+    assert "passed\tno" in lines
+
+
+def test_verify_theorem_gm2_runs_its_checks(capsys, monkeypatch):
+    assert main(["verify", "theorem-gm2", "--mmax", "16", "--format", "json"]) == 0
+    report = VerifyReport.from_json(capsys.readouterr().out)
+    assert report.passed and len(report.checks) == 16
+    assert all(c["passed"] for c in report.checks)
+    assert report.checks[-1] == {"name": "m=16", "passed": True,
+                                 "computed": "9", "expected": "9"}
+    real = cli.three_sphere_count
+    monkeypatch.setattr(cli, "three_sphere_count", lambda m: real(m) + 1)
+    assert main(["verify", "theorem-gm2", "--mmax", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL\tm=1\tcomputed=0\texpected=1"
     assert "passed\tno" in lines
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -130,6 +131,17 @@ def test_budget_abort_carries_partial_counts():
     enumerate_skeleton(space, 5, budget=392)
     with pytest.raises(SizeBudgetExceeded):
         enumerate_skeleton(space, 5, budget=391)
+
+
+def test_vertex_count_is_checked_before_any_array():
+    # 2**40 vertices pass the default budget of 2**28 simplices, and the
+    # vertex array of Q40 alone would need 8 TiB.
+    with pytest.raises(SizeBudgetExceeded, match="exceeded at dimension 0") as err:
+        enumerate_skeleton(SpaceSpec.hypercube(40, 1), 1)
+    assert err.value.partial_counts == ()
+    with pytest.raises(SizeBudgetExceeded, match="budget 15 exceeded at dimension 0"):
+        enumerate_skeleton(SpaceSpec.hypercube(4, 1), 1, budget=15)
+    assert enumerate_skeleton(SpaceSpec.hypercube(4, 0), 1, budget=16).counts == (16, 0)
 
 
 def test_budget_abort_is_clean_at_every_size():
@@ -647,6 +659,40 @@ def test_has_simplex(q3r2):
         q3r2.has_simplex((0, 8))
     with pytest.raises(ValueError):
         q3r2.has_simplex((1, 1))  # repeated vertex
+
+
+def test_shared_binomial_table_is_exact_where_it_is_read(monkeypatch):
+    # One table serves every caller and grows to cover each request; in a
+    # shuffled order it grows in rows, in columns and in both, and every
+    # entry, asked for or not, is C(v, t) modulo 2**64.
+    monkeypatch.setattr(complexes, "_binom", np.zeros((0, 0), dtype=np.int64))
+    pairs = [(nv, t) for nv in (0, 1, 7, 64, 128, 300, 512) for t in (0, 1, 2, 5, 9, 14)
+             if math.comb(nv, min(t, nv // 2)) < 2**63]
+    np.random.default_rng(16).shuffle(pairs)
+    shapes, builds = [(0, 0)], 0
+    for nv, t in pairs:
+        table = complexes._np_binom(nv, t)
+        assert table[: nv + 1, : t + 1].tolist() == [
+            [math.comb(v, s) for s in range(t + 1)] for v in range(nv + 1)
+        ], (nv, t)
+        assert table.tolist() == [
+            [(math.comb(v, s) + 2**63) % 2**64 - 2**63 for s in range(table.shape[1])]
+            for v in range(table.shape[0])
+        ]
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2
+        if table.shape != shapes[-1]:
+            shapes.append(table.shape)
+        builds += table is not complexes._np_binom(nv, t)
+    grew = {(a[0] < b[0], a[1] < b[1]) for a, b in zip(shapes[1:], shapes[2:])}
+    assert grew == {(True, False), (False, True), (True, True)}
+    assert builds == 0  # a request the table covers builds none
+    with pytest.raises(OverflowError, match="512 vertices at 10 slots exceed 63 bits"):
+        complexes._np_binom(512, 10)
+    # No cofaces need no table, though C(512, 21) overflows.
+    key, slot = complexes._coface_keys(np.zeros((0, 20), dtype=np.int64),
+                                       np.zeros(0, dtype=np.int64), 512)
+    assert key.dtype == np.int64 and len(key) == len(slot) == 0
 
 
 def test_empty_layer_past_the_rank_limit():

@@ -338,18 +338,18 @@ def test_single_dim_equals_the_vector_on_every_prefix(r, p):
 
 def test_single_dim_never_builds_the_layer_above(monkeypatch):
     widths = []
-    real_next, real_ranks = complexes._next_layer, homology._layer_ranks
+    real_next, real_ranks = complexes._next_layer, complexes._layer_ranks
 
     def next_layer(rows, *args):
         widths.append(rows.shape[1] + 1)
         return real_next(rows, *args)
 
-    def layer_ranks(rows, table):
+    def layer_ranks(rows, nv):
         widths.append(rows.shape[1])
-        return real_ranks(rows, table)
+        return real_ranks(rows, nv)
 
     monkeypatch.setattr(complexes, "_next_layer", next_layer)
-    monkeypatch.setattr(homology, "_layer_ranks", layer_ranks)
+    monkeypatch.setattr(complexes, "_layer_ranks", layer_ranks)
     for space, i, want in ((SpaceSpec.hypercube(5, 2), 3, 49),
                            (SpaceSpec.hypercube(4, 3), 7, 1),
                            (SpaceSpec(m=100, r=2), 3, three_sphere_count(100)),
@@ -580,7 +580,6 @@ def _assert_columns_match_the_index(skel: Skeleton, p: int, rng) -> None:
         return
     nv = skel.num_vertices
     adj = homology._adjacency(skel.simplices[1], nv)
-    table = homology._np_binom(nv, skel.dim_cap + 1)
     for k in range(1, skel.dim_cap):
         n, n_hi = skel.counts[k : k + 2]
         if n_hi == 0:
@@ -592,7 +591,7 @@ def _assert_columns_match_the_index(skel: Skeleton, p: int, rng) -> None:
         want_low, want_read = _csr_columns(
             *_coboundary_reference(facet_rows, n), p, cleared
         )
-        low, read = homology._coboundary_columns(skel, k, p, cleared, adj, table)
+        low, read = homology._coboundary_columns(skel, k, p, cleared, adj)
         assert low.dtype == np.int64
         assert low.tolist() == want_low.tolist(), f"k={k}"
         got, want = read(np.arange(n)), want_read(np.arange(n))
@@ -665,11 +664,10 @@ def test_top_map_rows_are_the_rank_keys_of_the_layer_above(p, monkeypatch):
             narrow, wide = build(k), build(k + 1)
             nv, n = narrow.num_vertices, narrow.counts[k]
             adj = homology._adjacency(narrow.simplices[1], nv)
-            table = homology._np_binom(nv, k + 2)
             keys = wide.layer_keys(k + 1)
             cleared = np.flatnonzero(rng.random(n) < 0.2)
-            low, read = homology._coboundary_columns(narrow, k, p, cleared, adj, table)
-            want_low, want_read = homology._coboundary_columns(wide, k, p, cleared, adj, table)
+            low, read = homology._coboundary_columns(narrow, k, p, cleared, adj)
+            want_low, want_read = homology._coboundary_columns(wide, k, p, cleared, adj)
             assert low.tolist() == np.where(want_low >= 0, keys[want_low], -1).tolist()
             got, want = read(np.arange(n)), want_read(np.arange(n))
             assert [list(got[c].items()) for c in range(n)] == [
@@ -837,6 +835,16 @@ def test_layer_zero_must_list_the_vertices():
             by_hand(nv, layer0)
     assert betti_numbers(by_hand(3, [[0], [1], [2]])).reduced_betti == (2,)
     assert connected_components(by_hand(3, [[0], [1], [2]])) == 3
+
+
+def test_rank_keys_past_63_bits_raise_overflow():
+    # Layer 9 of Q9 at scale 2 holds 512 simplices, whose keys need
+    # C(512, 10) > 2**63; the maps below it fit.
+    skel = enumerate_skeleton(SpaceSpec.hypercube(9, 2), 9)
+    assert skel.counts[9] == 512
+    with pytest.raises(OverflowError) as err:
+        betti_numbers(skel, 2, 8)
+    assert str(err.value) == "rank keys for 512 vertices at 10 slots exceed 63 bits"
 
 
 def test_binomial_table_reaches_only_nonempty_layers():

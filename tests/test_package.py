@@ -66,3 +66,20 @@ def test_only_complexes_builds_a_skeleton():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Skeleton"
     ]
     assert found == []
+
+
+def test_only_complexes_makes_rank_keys():
+    # Rank keys, and the binomial table they are read from, are made in
+    # complexes.py alone, so a wider key changes one module; no other
+    # function takes a table.
+    root = Path(cuberips.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "complexes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None) or getattr(node, "arg", None))
+            if name in ("_np_binom", "_layer_ranks", "table"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
