@@ -4,15 +4,18 @@ combinatorial ranking, and a plain-text export.
 A skeleton stores one index array per dimension.  Rows are vertex indices
 into ``verts`` (the sorted external labels), ascending within each row, and
 rows are sorted colexicographically — the order of combinatorial-number-system
-ranks.  These uint32 row arrays are the only simplex format: enumeration
-produces them directly and homology reads them.  Their ranks, as int64 rank
+ranks.  These row arrays are the only simplex format: enumeration produces
+them directly and homology reads them.  Their dtype is the narrowest
+unsigned one that holds every vertex index (``_row_dtype``): uint8 up to 256
+vertices, uint16 up to 65,536, else uint32.  Their ranks, as int64 rank
 keys, are made in this module alone, from one shared binomial table.
 
 Every flag skeleton — of a Hamming space, an explicit graph, a link or a
 Kneser complement — is built by one constructor, ``_flag_complex``, from
 the sorted labels and two arrays of edge positions a < b.  Each caller
 finds its edges in NumPy, and ``_pack_graph``, the one packer of graph
-bits, turns them into uint64 adjacency rows.
+bits, turns them into uint64 adjacency rows, once their bytes are known
+to fit.
 
 Enumeration grows one layer at a time.  Next to its rows, layer k keeps
 packed candidate bitsets: row j of ``cand`` has bit u set when u is above
@@ -111,6 +114,13 @@ def _np_binom(nv: int, tmax: int) -> np.ndarray:
     return _binom
 
 
+def _row_dtype(nv: int) -> np.dtype:
+    """The dtype of the rows of a skeleton on nv vertices: the narrowest
+    unsigned one that holds every index below nv."""
+    return np.dtype(np.uint8 if nv <= 1 << 8 else np.uint16 if nv <= 1 << 16
+                    else np.uint32)
+
+
 def _layer_ranks(rows: np.ndarray, nv: int) -> np.ndarray:
     """Combinatorial-number-system rank of each row of vertices below nv:
     sum of C(row[t], t+1).  No rows need no table, whose entries may pass
@@ -154,11 +164,12 @@ def _find(keys: np.ndarray, key):
 class Skeleton:
     """Per-dimension simplex inventories of a simplicial complex.
 
-    ``simplices[k]`` is a (counts[k], k+1) uint32 array for every
-    0 <= k <= dim_cap (empty beyond the top dimension).  ``complete_flag`` is
-    true when dim_cap is at least the top dimension of the full complex, i.e.
-    nothing was truncated away.  ``source`` is the SpaceSpec of a metric
-    enumeration, which the text export reads, and None otherwise.
+    ``simplices[k]`` is a (counts[k], k+1) array for every 0 <= k <= dim_cap
+    (empty beyond the top dimension), of dtype _row_dtype(len(verts)) when
+    the package built it.  ``complete_flag`` is true when dim_cap is at
+    least the top dimension of the full complex, i.e. nothing was truncated
+    away.  ``source`` is the SpaceSpec of a metric enumeration, which the
+    text export reads, and None otherwise.
 
     The constructor checks what homology and every other reader trust, and
     raises ValueError otherwise: dim_cap >= 0 with one layer per dimension
@@ -289,9 +300,10 @@ def _restrict(skel: Skeleton, keep) -> Skeleton:
     dimension len(keep) - 1.
     """
     renumber = np.cumsum(keep[0]) - 1
+    dtype = _row_dtype(int(np.count_nonzero(keep[0])))
     return _built(
         skel.verts[keep[0]],
-        [renumber[rows[mask]].astype(np.uint32)
+        [renumber[rows[mask]].astype(dtype)
          for rows, mask in zip(skel.simplices, keep)],
         len(keep) - 1,
         skel.complete_flag,
@@ -316,7 +328,8 @@ def _next_layer(rows, cand, up, size, last):
     of the set bits (j counting those parents) come in parent order; a
     stable sort on the bit (a radix sort of uint8 keys) orders the children
     by new top vertex u, then by parent: colex order.  Each parent row is
-    gathered as one void item into a structured view of the child rows.
+    gathered as one void item into a structured view of the child rows,
+    which have the parents' dtype; 64*w + bit < nv fits it.
     A child keeps the parent's candidates that are neighbours of u above
     u: np.take(axis=0) gathers the parents' words straight into the child
     block, and the rows of up are ANDed in, _BLOCK children at a time.
@@ -330,10 +343,11 @@ def _next_layer(rows, cand, up, size, last):
     """
     n, width = rows.shape
     words = up.shape[1]
-    child_rows = np.empty((size, width + 1), dtype=np.uint32)
+    child_rows = np.empty((size, width + 1), dtype=rows.dtype)
     child_cand = up[:0] if last else np.empty((size, words), dtype=up.dtype)
-    items = rows.view(f"V{4 * width}")[:, 0]
-    child = child_rows.view([("head", f"V{4 * width}"), ("top", np.uint32)])[:, 0]
+    head = f"V{rows.itemsize * width}"
+    items = rows.view(head)[:, 0]
+    child = child_rows.view([("head", head), ("top", rows.dtype)])[:, 0]
     at, found = 0, False
     for w in range(words):
         hit = np.flatnonzero(cand[:, w] != 0)
@@ -382,14 +396,15 @@ def _layer_bytes(rows, words, children, parents, last) -> int:
     index.
     """
     n, width = rows.shape
+    item = rows.itemsize
     size = sum(children)
     cand = min(size, _BLOCK) if last else size
     temp = max(
         max(n + 72 * h + 8 * c, 8 * h + 26 * c,
-            8 * c + max(4 * width * c, 8 * (2 * words + 1) * min(c, _BLOCK)))
+            8 * c + max(item * width * c, 8 * (2 * words + 1) * min(c, _BLOCK)))
         for c, h in zip(children, parents)
     )
-    return 4 * (width + 1) * size + 10 * words * cand + temp
+    return item * (width + 1) * size + 10 * words * cand + temp
 
 
 def _word_counts(cand) -> tuple[list[int], list[int]]:
@@ -470,8 +485,8 @@ def _flag_layers(up, dim_cap, budget=None):
 
     up is an (nv, ceil(nv/64)) little-endian uint64 array whose row v has
     bit u set iff u > v and uv is an edge.  Returns (layers, complete);
-    layers[k] holds the uint32 rows of dimension k for every k <= dim_cap
-    (empty above the top dimension).  Each layer's size, and how many
+    layers[k] holds the rows of dimension k, of dtype _row_dtype(nv), for
+    every k <= dim_cap (empty above the top dimension).  Each layer's size, and how many
     children and nonzero parents each candidate word makes, can be read off
     the popcounts before it is built.  So a layer that would pass the
     simplex budget, or whose bytes (_layer_bytes) exceed what the process
@@ -482,8 +497,9 @@ def _flag_layers(up, dim_cap, budget=None):
     """
     budget = _resolve_budget(budget)
     nv, words = up.shape
-    layers = [np.zeros((0, k + 1), dtype=np.uint32) for k in range(dim_cap + 1)]
-    rows, cand = np.arange(nv, dtype=np.uint32).reshape(nv, 1), up
+    dtype = _row_dtype(nv)
+    layers = [np.zeros((0, k + 1), dtype=dtype) for k in range(dim_cap + 1)]
+    rows, cand = np.arange(nv, dtype=dtype).reshape(nv, 1), up
     counts: list[int] = []
     size = nv  # of layer k, from the popcount of layer k-1's candidates
     for k in range(dim_cap + 1):
@@ -516,10 +532,19 @@ def _flag_layers(up, dim_cap, budget=None):
 def _flag_complex(verts: np.ndarray, a, b, dim_cap: int, budget) -> Skeleton:
     """The flag complex, up to dimension dim_cap, of the graph on the sorted
     labels verts with an edge between positions a[i] < b[i] for every i.
-    Every flag skeleton is built here."""
+    Every flag skeleton is built here.  A packed graph that would need more
+    bytes than the process may still allocate raises SizeBudgetExceeded at
+    dimension 0 before it is allocated."""
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
-    layers, complete = _flag_layers(_pack_graph(a, b, len(verts)), dim_cap, budget)
+    nv = len(verts)
+    need = 8 * nv * -(-nv // 64)
+    if need > _SMALL_LAYER and need > (free := _free_bytes()):
+        raise SizeBudgetExceeded(
+            f"dimension 0 needs about {need} bytes for the graph, "
+            f"{max(free, 0)} are left", ()
+        )
+    layers, complete = _flag_layers(_pack_graph(a, b, nv), dim_cap, budget)
     return _built(verts, layers, dim_cap, complete)
 
 
@@ -605,8 +630,9 @@ def skeleton_from_facets(facets, dim_cap=None) -> Skeleton:
         idx = [lookup[v] for v in f]
         for k in range(min(dim_cap, len(idx) - 1) + 1):
             by_dim[k].update(combinations(idx, k + 1))
+    dtype = _row_dtype(len(verts))
     sims = [
-        np.array(sorted(faces, key=lambda c: c[::-1]), dtype=np.uint32)  # colex
+        np.array(sorted(faces, key=lambda c: c[::-1]), dtype=dtype)  # colex
         .reshape(-1, k + 1)
         for k, faces in enumerate(by_dim)
     ]

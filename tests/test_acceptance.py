@@ -249,14 +249,32 @@ def test_scale_three_census_of_the_seven_cube():
     assert chi == conjectured_four_sphere_count(7) - conjectured_seven_sphere_count(7)
 
 
+_EIGHT_CUBE_CENSUS_CHILD = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from cuberips import SpaceSpec, enumerate_skeleton
+skel = enumerate_skeleton(SpaceSpec.hypercube(8, 3), 15)
+print(json.dumps({"counts": skel.counts, "complete": skel.complete_flag,
+                  "top": skel.top_dimension()}))
+"""
+
+
 @pytest.mark.slow
 def test_scale_three_census_of_the_eight_cube():
-    # About 14 s and 2.8 GB on a 2-core x86-64 box.
-    skel = enumerate_skeleton(SpaceSpec.hypercube(8, 3), 15)
-    assert skel.complete_flag
-    assert skel.top_dimension() == 15
-    assert sum(skel.counts) == 71_188_224
-    chi = _reduced_euler(skel.counts)
+    # About 10 s and 1.4 GB on a 2-core x86-64 box.  The child process runs
+    # under a 2 GiB address-space limit, which 4-byte rows (2.7 GB) do not
+    # fit: its layer 7 alone needs 1.24 GB.  One BLAS thread keeps the
+    # address space the same on any number of cores.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)),
+               OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", _EIGHT_CUBE_CENSUS_CHILD], env=env,
+                           capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["complete"]
+    assert result["top"] == 15
+    assert sum(result["counts"]) == 71_188_224
+    chi = _reduced_euler(result["counts"])
     assert chi == -769
     assert conjectured_four_sphere_count(8) == 351
     assert conjectured_seven_sphere_count(8) == 1120
@@ -265,7 +283,7 @@ def test_scale_three_census_of_the_eight_cube():
 @pytest.mark.slow
 @pytest.mark.parametrize("p", [2, 3])
 def test_scale_three_full_vector_for_the_seven_cube(p):
-    # About 3.5 s and 360 MB per field on a 2-core x86-64 box; GF(3) is the
+    # About 2.5 s and 180 MB per field on a 2-core x86-64 box; GF(3) is the
     # torsion sentinel.
     skel = enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
     assert skel.complete_flag
@@ -301,8 +319,8 @@ print(json.dumps({"betti": bv.reduced_betti, "trusted": bv.trusted_through}))
 @pytest.mark.slow
 @pytest.mark.parametrize("p", [2, 3])
 def test_scale_three_four_sphere_count_for_the_nine_cube(p):
-    # Layers 0..5 of the 9-cube at scale 3 (66.6 M simplices), about 25 s
-    # and 3.0 GB per field on a 2-core x86-64 box.  The child process runs
+    # Layers 0..5 of the 9-cube at scale 3 (66.6 M simplices), about 18 s
+    # and 2.3 GB per field on a 2-core x86-64 box.  The child process runs
     # under a 4 GiB address-space limit: candidates kept for the last layer
     # (another 2.8 GB) fail the test, not the machine.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)))
@@ -327,7 +345,7 @@ print(betti_single_dim(SpaceSpec.hypercube(9, 3), 4))
 def test_scale_three_four_sphere_count_for_the_nine_cube_by_single_dim():
     # Layers 0..4 of the 9-cube at scale 3; δ_4 reads its cofaces from the
     # graph and names them by rank key, so layer 5 (about 44 M simplices) is
-    # never built.  About 11 s and 1.1 GB on a 2-core x86-64 box; the child
+    # never built.  About 8 s and 0.9 GB on a 2-core x86-64 box; the child
     # runs under a 2 GiB address-space limit.  The test above, which stores
     # layer 5, is the independent check.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)))

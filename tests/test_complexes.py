@@ -35,6 +35,7 @@ from cuberips import (
     simplex_unrank,
     skeleton_from_facets,
     star_cluster,
+    three_sphere_count,
     write_skeleton_text,
 )
 
@@ -177,7 +178,7 @@ def lower_address_space(headroom):
     resource.setrlimit(resource.RLIMIT_AS, (size + headroom, hard))
 
 partial = []
-for mb in (192, 64):
+for mb in (144, 32):
     lower_address_space(mb << 20)
     try:
         enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
@@ -189,10 +190,11 @@ print(json.dumps({"partial": partial, "exit": main(["betti", "--n", "7", "--r", 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_byte_budget_aborts_under_a_low_address_space_limit():
-    # Q7 at scale 3 needs about 330 MB.  With 64 or 192 MB of address space
-    # left, its layers used to end in a MemoryError from np.empty or
-    # np.unpackbits; now the layer that does not fit is refused before it is
-    # allocated, like one over the simplex budget, and the CLI exits 2.
+    # Q7 at scale 3 peaks at about 180 MB, and its layers 4..7 need about
+    # 42, 94, 133 and 127 MB.  With 32 or 144 MB of address space left, they
+    # used to end in a MemoryError from np.empty or np.unpackbits; now the
+    # layer that does not fit (4, then 6) is refused before it is allocated,
+    # like one over the simplex budget, and the CLI exits 2.
     src = os.path.dirname(os.path.dirname(cuberips.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     child = subprocess.run([sys.executable, "-c", _LOW_LIMIT_CHILD], env=env,
@@ -210,6 +212,43 @@ def test_byte_budget_aborts_under_a_low_address_space_limit():
     assert len(listed) == 1
     counts = tuple(int(c) for c in listed[0].split("\t")[1:])
     assert counts and counts == tuple(result["partial"][-1][: len(counts)])
+
+
+_GRAPH_LIMIT_CHILD = """
+import json, os, resource
+from cuberips import SizeBudgetExceeded, SpaceSpec, enumerate_skeleton
+from cuberips.cli import main
+
+with open("/proc/self/statm") as fh:
+    size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (512 << 20), hard))
+try:
+    enumerate_skeleton(SpaceSpec(m=2**17, r=1), 1)
+    raised = None
+except SizeBudgetExceeded as err:
+    raised = [str(err), list(err.partial_counts)]
+print(json.dumps({"raised": raised, "exit": main(["betti", "--m", str(2**17), "--r", "1"])}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_byte_budget_covers_the_packed_graph():
+    # The packed graph of 2**17 vertices takes 2**17 rows of 2**11 words:
+    # 2 GiB, refused at dimension 0 before it is allocated, with 512 MB of
+    # address space left, instead of a MemoryError from np.zeros.
+    src = os.path.dirname(os.path.dirname(cuberips.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", _GRAPH_LIMIT_CHILD], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    message, partial = result["raised"]
+    assert message.startswith(f"dimension 0 needs about {2**31} bytes for the graph")
+    assert partial == []
+    assert result["exit"] == 2
+    assert "budget exceeded: dimension 0" in child.stderr
+    assert "MemoryError" not in child.stderr
 
 
 def _fake_cgroup(tmp_path, monkeypatch, proc: str, files: dict[str, str]) -> None:
@@ -255,8 +294,8 @@ def test_free_bytes_reads_the_memory_cgroup(tmp_path, monkeypatch):
 
 
 def test_byte_budget_aborts_under_a_low_cgroup_limit(tmp_path, monkeypatch):
-    # Q7 at scale 3 needs about 330 MB; a cgroup with 64 MB left refuses a
-    # layer before it is allocated, as a low RLIMIT_AS does.
+    # Q7 at scale 3 peaks at about 180 MB; a cgroup with 64 MB left refuses
+    # a layer before it is allocated, as a low RLIMIT_AS does.
     _fake_cgroup(tmp_path, monkeypatch, "0::/\n",
                  {"memory.max": f"{(1 << 30) + (64 << 20)}", "memory.current": f"{1 << 30}"})
     with pytest.raises(SizeBudgetExceeded, match="are left") as err:
@@ -461,14 +500,16 @@ def test_induced_subcomplex_arbitrary_labels():
 
 def _assert_filtered(parent: Skeleton, sub: Skeleton, keep) -> None:
     """sub holds exactly the simplices of parent whose label tuples keep
-    accepts, layer by layer in colex order, as uint32 rows."""
+    accepts, layer by layer in colex order, as rows of the narrowest dtype
+    for its vertex count."""
     assert sub.dim_cap == parent.dim_cap
     assert sub.complete_flag == parent.complete_flag
     for k, rows in enumerate(parent.simplices):
         labels = [tuple(parent.verts[row].tolist()) for row in rows]
         expect = sorted(filter(keep, labels), key=lambda c: c[::-1])
         got = sub.simplices[k]
-        assert got.dtype == np.uint32 and got.shape == (len(expect), k + 1)
+        assert got.dtype == complexes._row_dtype(sub.num_vertices)
+        assert got.shape == (len(expect), k + 1)
         assert [tuple(sub.verts[row].tolist()) for row in got] == expect
 
 
@@ -506,6 +547,57 @@ def test_derived_complexes_match_brute_force_filters():
         closed = [{u} | {w for e in edges if u in e for w in e} for u in sigma]
         _assert_filtered(skel, star_cluster(skel, sigma),
                          lambda c: any(set(c) <= near for near in closed))
+
+
+def test_row_dtype_is_the_narrowest_that_holds_every_vertex():
+    for nv, dtype in [(0, np.uint8), (1, np.uint8), (256, np.uint8),
+                      (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)]:
+        assert complexes._row_dtype(nv) == dtype, nv
+
+
+def test_every_constructor_returns_rows_of_the_row_dtype():
+    def check(skel):
+        want = complexes._row_dtype(skel.num_vertices)
+        assert all(rows.dtype == want for rows in skel.simplices)
+        return want
+
+    # each constructor on both sides of the uint8/uint16 boundary
+    assert check(enumerate_skeleton(SpaceSpec(m=16, r=2), 4)) == np.uint8
+    wide = enumerate_skeleton(SpaceSpec(m=257, r=2), 3)
+    assert check(wide) == np.uint16
+    assert check(flag_skeleton_from_graph(range(0, 512, 2), [(0, 510)], 1)) == np.uint8
+    assert check(flag_skeleton_from_graph(range(257), [(0, 256)], 1)) == np.uint16
+    assert check(link_complex(SpaceSpec.hypercube(10, 3), 5, 2)) == np.uint8
+    assert check(link_complex(SpaceSpec.hypercube(12, 3), 0, 1)) == np.uint16
+    assert check(kneser_independence_complex(23, 1)) == np.uint8  # 253 vertices
+    assert check(kneser_independence_complex(24, 1)) == np.uint16  # 276 vertices
+    assert check(skeleton_from_facets([(0, 1, 2)])) == np.uint8
+    assert check(skeleton_from_facets([(v,) for v in range(65_537)])) == np.uint32
+    # the _restrict callers narrow the rows once 256 vertices or fewer are kept
+    narrow = delete_vertex(wide, 256)
+    assert check(narrow) == np.uint8
+    assert [a.tolist() for a in narrow.simplices] == [
+        a.tolist() for a in enumerate_skeleton(SpaceSpec(m=256, r=2), 3).simplices]
+    assert check(induced_subcomplex(wide, range(1, 257))) == np.uint8
+    assert check(induced_subcomplex(wide, range(257))) == np.uint16
+    assert check(star_cluster(wide, (0, 256))) == np.uint8
+
+
+@pytest.mark.parametrize("m", [255, 256, 257])
+@pytest.mark.parametrize("r", [1, 2])
+def test_prefixes_across_the_uint8_boundary_match_networkx(m, r):
+    # vertex 256 is the first that uint8 rows cannot hold: were it stored
+    # in one it would wrap to 0
+    space = SpaceSpec(m=m, r=r)
+    expected = _networkx_cliques(
+        range(m),
+        [(a, b) for a, b in combinations(range(m), 2) if hamming_distance(a, b) <= r],
+    )
+    skel = enumerate_skeleton(space, len(expected) - 1)
+    assert skel.complete_flag
+    _assert_layers_are(skel, expected)
+    if r == 2:
+        assert betti_numbers(skel, 2, 3).reduced_betti[3] == three_sphere_count(m)
 
 
 def test_link_is_induced_subcomplex_on_neighbors():

@@ -852,3 +852,24 @@ def test_binomial_table_reaches_only_nonempty_layers():
     # for 22 slots would need C(128, 22), which overflows 63 bits.
     skel = enumerate_skeleton(SpaceSpec.hypercube(7, 1), 20)
     assert betti_numbers(skel).reduced_betti == (0, 321) + (0,) * 19
+
+
+def test_hand_built_wide_rows_give_the_narrow_answers(q4r2):
+    # Enumeration stores the 16 vertices of Q4 in uint8 rows; a skeleton
+    # built by hand may hold any integer dtype, and every reader must give
+    # the same answers for it.
+    assert all(rows.dtype == np.uint8 for rows in q4r2.simplices)
+    collapse = greedy_collapse_probe(q4r2, 3)
+    for dtype in (np.uint32, np.int64):
+        wide = Skeleton(q4r2.verts, [rows.astype(dtype) for rows in q4r2.simplices],
+                        q4r2.dim_cap, q4r2.complete_flag)
+        for p in (2, 3):
+            assert betti_numbers(wide, p) == betti_numbers(q4r2, p)
+        for k in range(1, q4r2.dim_cap + 1):
+            assert np.array_equal(boundary_matrix(wide, k).facet_rows,
+                                  boundary_matrix(q4r2, k).facet_rows)
+        got = greedy_collapse_probe(wide, 3)
+        assert (got.reached_dim, got.status, got.free_face_trace_length) == (
+            collapse.reached_dim, collapse.status, collapse.free_face_trace_length)
+        assert [a.tolist() for a in got.residual.simplices] == [
+            a.tolist() for a in collapse.residual.simplices]
