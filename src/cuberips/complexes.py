@@ -15,7 +15,7 @@ Kneser complement — is built by one constructor, ``_flag_complex``, from
 the sorted labels and two arrays of edge positions a < b.  Each caller
 finds its edges in NumPy, and ``_pack_graph``, the one packer of graph
 bits, turns them into uint64 adjacency rows, once their bytes are known
-to fit.
+to fit: those of the edges from the vertex, flip or pair counts alone.
 
 Enumeration grows one layer at a time.  Next to its rows, layer k keeps
 packed candidate bitsets: row j of ``cand`` has bit u set when u is above
@@ -36,7 +36,8 @@ allocate: its RLIMIT_AS less its address space, or else physical memory
 less its resident set, and no more than its memory cgroup has left.  A
 layer that does not fit raises SizeBudgetExceeded with the finished
 layers' counts, as one over the simplex budget does, instead of a
-MemoryError halfway through.
+MemoryError halfway through.  One gate, ``_reserve``, makes that check for
+the layers, the packed graph and the edge arrays alike.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .hamming import SpaceSpec, _flips, hamming_distance, neighborhood
+from .hamming import SpaceSpec, _flip_count, _flips, hamming_distance, neighborhood
 
 DEFAULT_BUDGET = 1 << 28
 _RANK_LIMIT = (1 << 63) - 1
 _BLOCK = 1 << 16  # children whose candidates are formed at a time
-# A layer bounded below this many bytes is built without reading the address
+# An array bounded below this many bytes is built without reading the address
 # space: a process that cannot find them fails elsewhere first.
 _SMALL_LAYER = 1 << 20
 
@@ -415,6 +416,16 @@ def _word_counts(cand) -> tuple[list[int], list[int]]:
             np.count_nonzero(popcount, axis=0).tolist())
 
 
+def _reserve(need: int, k: int, counts=(), what: str = "") -> None:
+    """The one byte gate: SizeBudgetExceeded at dimension k, with the finished
+    counts, when need bytes (of the array that what names) pass _SMALL_LAYER
+    and what the process may still allocate (_free_bytes)."""
+    if need > _SMALL_LAYER and need > (free := _free_bytes()):
+        raise SizeBudgetExceeded(
+            f"dimension {k} needs about {need} bytes{what}, {max(free, 0)} are left",
+            counts)
+
+
 def _free_bytes() -> int:
     """Bytes this process may still allocate: its RLIMIT_AS less its address
     space when the limit is set, else physical memory less its resident set,
@@ -512,14 +523,11 @@ def _flag_layers(up, dim_cap, budget=None):
             # First bound every word by one that holds all the children:
             # reading the address space, or counting per word, costs about
             # as much as building a small layer.
-            need = _layer_bytes(rows, words, [size], [min(len(rows), size)], last)
-            if need > _SMALL_LAYER and need > (free := _free_bytes()):
-                need = _layer_bytes(rows, words, *_word_counts(cand), last)
-                if need > free:
-                    raise SizeBudgetExceeded(
-                        f"dimension {k} needs about {need} bytes, "
-                        f"{max(free, 0)} are left", counts
-                    )
+            bound = _layer_bytes(rows, words, [size], [min(len(rows), size)], last)
+            try:
+                _reserve(bound, k, counts)
+            except SizeBudgetExceeded:
+                _reserve(_layer_bytes(rows, words, *_word_counts(cand), last), k, counts)
             rows, cand = _next_layer(rows, cand, up, size, last)
         counts.append(size)
         layers[k] = rows
@@ -538,12 +546,7 @@ def _flag_complex(verts: np.ndarray, a, b, dim_cap: int, budget) -> Skeleton:
     if dim_cap < 0:
         raise ValueError("dim_cap must be nonnegative")
     nv = len(verts)
-    need = 8 * nv * -(-nv // 64)
-    if need > _SMALL_LAYER and need > (free := _free_bytes()):
-        raise SizeBudgetExceeded(
-            f"dimension 0 needs about {need} bytes for the graph, "
-            f"{max(free, 0)} are left", ()
-        )
+    _reserve(8 * nv * -(-nv // 64), 0, what=" for the graph")
     layers, complete = _flag_layers(_pack_graph(a, b, nv), dim_cap, budget)
     return _built(verts, layers, dim_cap, complete)
 
@@ -553,13 +556,15 @@ def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
 
     Simplices are the vertex sets of pairwise Hamming distance <= space.r.
     Raises SizeBudgetExceeded if the total simplex count would pass budget
-    (default 2**28), or if a layer would need more bytes than the process
-    may still allocate.
+    (default 2**28), or if the edge arrays, the packed graph or a layer
+    would need more bytes than the process may still allocate.
     """
     if space.m > (budget := _resolve_budget(budget)):  # before any array
         raise SizeBudgetExceeded(f"budget {budget} exceeded at dimension 0")
     # The neighbours u of v are v ^ f for the flips f; each edge is kept
-    # once, from its lower end v < u < m.
+    # once, from its lower end v < u < m.  About 18 bytes per (v, f): the
+    # int64 table u, its three masks and the edge ends.
+    _reserve(18 * space.m * _flip_count(space), 0, what=" for the edges")
     v = np.arange(space.m, dtype=np.int64)[:, None]
     u = v ^ np.array(_flips(space), dtype=np.int64)
     edge = (v < u) & (u < space.m)
@@ -591,7 +596,13 @@ def flag_skeleton_from_graph(labels, edges, dim_cap: int, budget=None) -> Skelet
 
 def link_complex(space: SpaceSpec, v: int, dim_cap: int, budget=None) -> Skeleton:
     """Flag complex induced on the neighbors of v (v itself excluded)."""
+    if not 0 <= v < space.m:
+        raise ValueError(f"vertex {v} out of range for m={space.m}")
+    # About 200 bytes per flip for the neighbour set of Python ints, then
+    # 32 per pair of neighbours for the pair arrays and their distances.
+    _reserve(200 * _flip_count(space), 0, what=" for the edges")
     nbrs = np.array(sorted(neighborhood(space, v)), dtype=np.int64)
+    _reserve(32 * math.comb(len(nbrs), 2), 0, what=" for the edges")
     a, b = np.triu_indices(len(nbrs), 1)
     near = np.bitwise_count(nbrs[a] ^ nbrs[b]) <= space.r
     return _flag_complex(nbrs, a[near], b[near], dim_cap, budget)
@@ -605,6 +616,8 @@ def kneser_independence_complex(n: int, dim_cap: int, budget=None) -> Skeleton:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    # About 36 bytes per pair of 2-subsets: the pair arrays and the tests.
+    _reserve(36 * math.comb(math.comb(n, 2), 2), 0, what=" for the edges")
     lo, hi = np.array([(x, y) for y in range(n) for x in range(y)]).T
     # independence complex of the Kneser graph = flag complex of its complement
     a, b = np.triu_indices(len(lo), 1)

@@ -105,19 +105,13 @@ def splitting_check(m: int, r: int, p: int = 2, maxdim: int = 3,
     b_deleted = betti_of(deleted, maxdim)
     b_link = betti_of(link, maxdim - 1)
 
-    holds: dict[int, bool] = {}
-    expected: dict[int, int] = {}
-    for i in range(maxdim + 1):
-        if not (b_whole.is_trusted(i) and b_deleted.is_trusted(i)):
-            continue
-        if i == 0:
-            rhs = b_deleted.reduced_betti[0] + (1 if link_empty else 0)
-        else:
-            if not b_link.is_trusted(i - 1):
-                continue
-            rhs = b_deleted.reduced_betti[i] + b_link.reduced_betti[i - 1]
-        expected[i] = rhs
-        holds[i] = b_whole.reduced_betti[i] == rhs
+    # link[-1] is 1 when the link is empty: every i, 0 included, takes one step
+    link_vec = (int(link_empty),) + b_link.reduced_betti
+    expected = {
+        i: b_deleted.reduced_betti[i] + link_vec[i] for i in range(maxdim + 1)
+        if b_whole.is_trusted(i) and b_deleted.is_trusted(i) and b_link.is_trusted(i - 1)
+    }
+    holds = {i: b_whole.reduced_betti[i] == rhs for i, rhs in expected.items()}
 
     reverified = False
     note = ""
@@ -153,6 +147,11 @@ def splitting_check(m: int, r: int, p: int = 2, maxdim: int = 3,
     )
 
 
+def _is_wedge_of_two_spheres(bv: BettiVector, expected: int) -> bool:
+    """Reduced Betti vector (0, 0, expected, 0), trusted through dimension 2."""
+    return bv.reduced_betti == (0, 0, expected, 0) and bv.trusted_through >= 2
+
+
 @dataclass(frozen=True)
 class LinkWedgeReport:
     """Link-of-top-vertex check at scale 2: a wedge of `expected` 2-spheres."""
@@ -177,7 +176,7 @@ def link_homotopy_check(m: int, p: int = 2, budget=None) -> LinkWedgeReport:
     link = link_complex(space, m - 1, 4, budget=budget)
     bv = betti_numbers(link, p=p, maxdim=3)
     expected = link_sphere_count(m - 1)
-    passed = bv.reduced_betti == (0, 0, expected, 0) and bv.trusted_through >= 2
+    passed = _is_wedge_of_two_spheres(bv, expected)
     return LinkWedgeReport(m=m, p=p, expected=expected, betti=bv, passed=passed)
 
 
@@ -217,7 +216,7 @@ def kneser_check(n: int, p: int = 2, budget=None) -> KneserReport:
     skel = kneser_independence_complex(n, 4, budget=budget)
     bv = betti_numbers(skel, p=p, maxdim=3)
     expected = comb(n - 1, 3)
-    passed = bv.reduced_betti == (0, 0, expected, 0) and bv.trusted_through >= 2
+    passed = _is_wedge_of_two_spheres(bv, expected)
     return KneserReport(n=n, p=p, expected=expected, betti=bv, passed=passed)
 
 
@@ -263,54 +262,45 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
     if top <= target_dim:
         return CollapseOutcome(top, "collapsed_to_target", 0, residual=skel)
     counts, nv = skel.counts, skel.num_vertices
-    keys = {k: skel.layer_keys(k) for k in range(target_dim, top)}
     facet_rows = {
-        k: _facet_row_indices(skel.simplices[k], keys[k - 1], nv)
+        k: _facet_row_indices(skel.simplices[k], skel.layer_keys(k - 1), nv)
         for k in range(target_dim + 1, top + 1)
     }
     alive = [np.ones(c, dtype=bool) for c in counts[: top + 1]]
-    cof_count, cof_sum, heaps = {}, {}, {}
+    # One heap of free faces, face t of dimension k keyed -k * span + t, so
+    # divmod(key, span) == (-k, t).  A count only falls: a face that is no
+    # longer free never is again, and its key is dropped when popped.
+    span = max(counts)
+    cof_count, cof_sum, free = {}, {}, []
     for k in range(target_dim, top):
         facets = facet_rows[k + 1]
         cof_count[k] = np.bincount(facets.ravel(), minlength=counts[k])
         cof_sum[k] = np.zeros(counts[k], dtype=np.int64)
         np.add.at(cof_sum[k], facets.ravel(), np.repeat(np.arange(len(facets)), k + 2))
-        heaps[k] = np.flatnonzero(cof_count[k] == 1).tolist()  # sorted: a heap
-
-    def on_death(layer: int, row: int) -> None:
-        # a dying simplex stops being a cofacet of its facets
-        if layer - 1 < target_dim:
-            return
-        cnt, total, live = cof_count[layer - 1], cof_sum[layer - 1], alive[layer - 1]
-        for rix in facet_rows[layer][row].tolist():
-            if live[rix]:
-                cnt[rix] -= 1
-                total[rix] -= row
-                if cnt[rix] == 1:
-                    heapq.heappush(heaps[layer - 1], rix)
+        free += (np.flatnonzero(cof_count[k] == 1) - k * span).tolist()
+    heapq.heapify(free)
 
     alive_above = sum(counts[k] for k in range(target_dim + 1, top + 1))
     moves = 0
-    while alive_above and moves < budget:
-        pair = None
-        for k in range(top - 1, target_dim - 1, -1):
-            h = heaps[k]
-            while h:
-                if alive[k][h[0]] and cof_count[k][h[0]] == 1:
-                    pair = (k, heapq.heappop(h))
-                    break
-                heapq.heappop(h)
-            if pair is not None:
-                break
-        if pair is None:
-            break
-        k, trow = pair
+    while alive_above and moves < budget and free:
+        k, trow = divmod(heapq.heappop(free), span)
+        k = -k
+        if not (alive[k][trow] and cof_count[k][trow] == 1):
+            continue
         srow = int(cof_sum[k][trow])
         alive[k][trow] = False
         alive[k + 1][srow] = False
         alive_above -= 1 if k == target_dim else 2
-        on_death(k + 1, srow)
-        on_death(k, trow)
+        # each dying simplex stops being a cofacet of its facets
+        for layer, row in ((k + 1, srow), (k, trow)):
+            if layer > target_dim:
+                cnt, total, live = cof_count[layer - 1], cof_sum[layer - 1], alive[layer - 1]
+                for rix in facet_rows[layer][row].tolist():
+                    if live[rix]:
+                        cnt[rix] -= 1
+                        total[rix] -= row
+                        if cnt[rix] == 1:
+                            heapq.heappush(free, rix - (layer - 1) * span)
         moves += 1
 
     if alive_above == 0:
@@ -376,10 +366,7 @@ def survey_grid(n_max: int, r_max: int, p: int = 2, maxdim: int = 3,
     for n in range(1, n_max + 1):
         for r in range(r_max + 1):
             pred = predicted_betti(n, r)
-            if pred.predicted_reduced_betti:
-                need = max(pred.predicted_reduced_betti)
-            else:
-                need = maxdim
+            need = max(pred.predicted_reduced_betti, default=maxdim)
             try:
                 skel = enumerate_skeleton(
                     SpaceSpec.hypercube(n, r), need + 1, budget=budget
@@ -393,19 +380,11 @@ def survey_grid(n_max: int, r_max: int, p: int = 2, maxdim: int = 3,
                 )
                 continue
             bv = betti_numbers(skel, p=p, maxdim=need)
-            if pred.status == "theorem":
-                ok = all(
-                    bv.reduced_betti[i] == pred.predicted_reduced_betti.get(i, 0)
-                    for i in range(need + 1)
-                )
-                status = "match" if ok else "mismatch"
-            elif pred.status == "conjecture":
-                ok = all(
-                    bv.reduced_betti[i] == v
-                    for i, v in pred.predicted_reduced_betti.items()
-                )
-                status = "match" if ok else "mismatch"
-            else:
-                status = "open"
+            # a theorem speaks about every dimension, a conjecture only
+            # about those it lists
+            said = pred.predicted_reduced_betti
+            dims = range(need + 1) if pred.status == "theorem" else said
+            ok = all(bv.reduced_betti[i] == said.get(i, 0) for i in dims)
+            status = "open" if pred.status == "unknown" else ("match" if ok else "mismatch")
             cells.append(SurveyCell(n, r, status, pred, bv))
     return SurveyReport(n_max=n_max, r_max=r_max, p=p, cells=tuple(cells))

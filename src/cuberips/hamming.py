@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 
 def hamming_distance(x: int, y: int) -> int:
@@ -85,6 +86,11 @@ def _flips(space: SpaceSpec) -> list[int]:
         for w in range(1, min(space.r, space.n) + 1)
         for pos in combinations(range(space.n), w)
     ]
+
+
+def _flip_count(space: SpaceSpec) -> int:
+    """len(_flips(space)), without making the flips."""
+    return sum(comb(space.n, w) for w in range(1, min(space.r, space.n) + 1))
 
 
 def neighborhood(space: SpaceSpec, v: int) -> set[int]:

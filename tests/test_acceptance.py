@@ -322,8 +322,10 @@ def test_scale_three_four_sphere_count_for_the_nine_cube(p):
     # Layers 0..5 of the 9-cube at scale 3 (66.6 M simplices), about 18 s
     # and 2.3 GB per field on a 2-core x86-64 box.  The child process runs
     # under a 4 GiB address-space limit: candidates kept for the last layer
-    # (another 2.8 GB) fail the test, not the machine.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)))
+    # (another 2.8 GB) fail the test, not the machine.  One BLAS thread keeps
+    # the address space the same on any number of cores.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)),
+               OPENBLAS_NUM_THREADS="1")
     child = subprocess.run([sys.executable, "-c", _NINE_CUBE_CHILD, str(p)], env=env,
                            capture_output=True, text=True, timeout=600)
     assert child.returncode == 0, child.stderr
@@ -347,8 +349,9 @@ def test_scale_three_four_sphere_count_for_the_nine_cube_by_single_dim():
     # graph and names them by rank key, so layer 5 (about 44 M simplices) is
     # never built.  About 8 s and 0.9 GB on a 2-core x86-64 box; the child
     # runs under a 2 GiB address-space limit.  The test above, which stores
-    # layer 5, is the independent check.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)))
+    # layer 5, is the independent check.  One BLAS thread, as above.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)),
+               OPENBLAS_NUM_THREADS="1")
     child = subprocess.run([sys.executable, "-c", _NINE_CUBE_SINGLE_DIM_CHILD], env=env,
                            capture_output=True, text=True, timeout=600)
     assert child.returncode == 0, child.stderr

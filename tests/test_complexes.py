@@ -251,6 +251,63 @@ def test_byte_budget_covers_the_packed_graph():
     assert "MemoryError" not in child.stderr
 
 
+_EDGE_LIMIT_CHILD = """
+import json, os, resource
+from cuberips import (SizeBudgetExceeded, SpaceSpec, enumerate_skeleton,
+                      kneser_independence_complex, link_complex)
+from cuberips.cli import main
+
+with open("/proc/self/statm") as fh:
+    size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), hard))
+raised = []
+for build in (lambda: enumerate_skeleton(SpaceSpec(m=2**24, r=1), 1),
+              lambda: link_complex(SpaceSpec.hypercube(24, 12), 0, 1),
+              lambda: kneser_independence_complex(200, 1)):
+    try:
+        build()
+        raised.append(None)
+    except SizeBudgetExceeded as err:
+        raised.append([str(err), list(err.partial_counts)])
+print(json.dumps({"raised": raised, "exit": main(["betti", "--m", str(2**24), "--r", "1"])}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_byte_budget_covers_the_edge_arrays():
+    # Each constructor finds its edges in arrays whose bytes follow from
+    # counts alone: 2**24 vertices times 24 flips (a 3 GiB neighbour table),
+    # the 9.7 M neighbours of a vertex of Q24 at scale 12 (their Python set,
+    # then 4.7e13 pairs), and the 2.0e8 pairs of 2-subsets of a 200-set
+    # (3.2 GB of pair indices).  With 1 GiB of address space left, each is
+    # refused at dimension 0 before it is allocated, where each used to end
+    # in a MemoryError.
+    src = os.path.dirname(os.path.dirname(cuberips.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", _EDGE_LIMIT_CHILD], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert len(result["raised"]) == 3
+    for message, partial in result["raised"]:
+        assert message.startswith("dimension 0 needs about ")
+        assert " bytes for the edges, " in message
+        assert partial == []
+    assert result["exit"] == 2
+    assert "budget exceeded: dimension 0" in child.stderr
+    assert "MemoryError" not in child.stderr
+
+
+def test_link_of_a_missing_vertex_is_a_value_error():
+    # A vertex of Q40 has about 5.5e11 neighbours at scale 20, which no
+    # byte gate lets through; a vertex that is not there is named first.
+    space = SpaceSpec.hypercube(40, 20)
+    for v in (-1, 2**40):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            link_complex(space, v, 1)
+
+
 def _fake_cgroup(tmp_path, monkeypatch, proc: str, files: dict[str, str]) -> None:
     """Point _cgroup_free_bytes at a cgroup file tree under tmp_path."""
     tmp_path.mkdir(exist_ok=True)

@@ -24,7 +24,7 @@ from cuberips import (
     survey_grid,
 )
 from cuberips.experiments import _enumerate_best_effort
-from cuberips.formulas import three_sphere_count
+from cuberips.formulas import PredictionRecord, three_sphere_count
 
 
 def _euler(counts) -> int:
@@ -360,6 +360,25 @@ def test_survey_grid_marks_open_cells():
     statuses = {(c.n, c.r): c.status for c in report.cells}
     assert statuses[(6, 4)] in ("open", "skipped")
     assert report.mismatches == []
+
+
+def test_survey_compares_each_prediction_by_its_status(monkeypatch):
+    # VR(Q2; 1) is a 4-cycle, with reduced Betti numbers (0, 1, 0): nonzero
+    # in dimension 1, which a prediction of {2: 0} does not list.  A theorem
+    # asserts that every unlisted dimension through 2 vanishes, a conjecture
+    # speaks about dimension 2 alone, and an unknown cell compares nothing.
+    verdicts = {}
+    for status, said in (("theorem", {2: 0}), ("conjecture", {2: 0}), ("unknown", {})):
+        monkeypatch.setattr(
+            experiments, "predicted_betti",
+            lambda n, r, status=status, said=said: PredictionRecord(
+                n, r, status, dict(said), "patched"),
+        )
+        cell = next(c for c in survey_grid(2, 1).cells if (c.n, c.r) == (2, 1))
+        assert cell.prediction.status == status
+        assert cell.betti.reduced_betti[:3] == (0, 1, 0)
+        verdicts[status] = cell.status
+    assert verdicts == {"theorem": "mismatch", "conjecture": "match", "unknown": "open"}
 
 
 def test_survey_grid_validation():

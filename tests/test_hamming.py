@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cuberips import hamming
 from cuberips import (
     SpaceSpec,
     bit_positions,
@@ -89,11 +90,13 @@ def _brute_neighbors(space: SpaceSpec, v: int) -> set[int]:
     }
 
 
-@pytest.mark.parametrize("m,r", [(1, 0), (7, 1), (12, 2), (16, 3), (33, 2)])
+@pytest.mark.parametrize("m,r", [(1, 0), (7, 1), (12, 2), (16, 3), (33, 2), (8, 5)])
 def test_neighborhood_matches_brute_force(m, r):
     space = SpaceSpec(m=m, r=r)
     for v in range(m):
         assert neighborhood(space, v) == _brute_neighbors(space, v)
+    # the byte gates count the flips without making them
+    assert hamming._flip_count(space) == len(hamming._flips(space))
 
 
 def test_neighborhood_rejects_out_of_range():

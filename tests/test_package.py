@@ -83,3 +83,22 @@ def test_only_complexes_makes_rank_keys():
             if name in ("_np_binom", "_layer_ranks", "table"):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_only_reserve_reads_the_free_bytes():
+    # Every byte check in the package goes through the one gate, _reserve,
+    # so the threshold, the message and the abort are decided in one place.
+    root = Path(cuberips.__file__).parent
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        if getattr(node, "id", getattr(node, "attr", None)) == "_free_bytes":
+            found.append(f"{path.name}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    assert found == ["complexes.py:_reserve"]
