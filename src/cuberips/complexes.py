@@ -22,8 +22,10 @@ packed candidate bitsets: row j of ``cand`` has bit u set when u is above
 the top vertex of simplex j and adjacent to all its vertices.  Each set bit
 is one child in layer k+1, so the next layer's size is a popcount, known
 before anything is built.  The children are read off one 64-bit word at a
-time, from the parents whose word is nonzero only, and sorted by their new
-top vertex; parent rows and candidate words are then gathered with
+time, from the parents whose word is nonzero only, by ``_set_bits``, which
+unpacks only the nonzero bytes of a bitset; the coface reader of homology
+reads common neighbours through it too.  The children are sorted by their
+new top vertex; parent rows and candidate words are then gathered with
 np.take, a row as a single void item.
 
 The layer at dim_cap keeps no candidates.  All they would tell is whether
@@ -321,16 +323,43 @@ def _pack_graph(a, b, nv: int) -> np.ndarray:
     return out
 
 
+def _set_bits(words: np.ndarray) -> np.ndarray:
+    """Positions 64*i + b, ascending, of the set bits b of the contiguous
+    little-endian uint64 words, i counting them in row-major order.
+
+    Only the nonzero bytes are unpacked, 8 bits each: a sparse word costs 8
+    bytes per nonzero byte, not 64 for the whole word.  Their positions are
+    found through a bool view, which counts every nonzero byte as true.
+    Every temporary is dropped as soon as it has been read: at the peak the
+    int64 byte index is held beside two int64 arrays and one byte per set
+    bit.
+    """
+    octets = words.view(np.uint8).reshape(-1)
+    at = np.flatnonzero(octets.view(bool))
+    bits = np.unpackbits(np.take(octets, at), bitorder="little")
+    flat = np.flatnonzero(bits.view(bool))  # 8*q + b for the q-th nonzero byte
+    del bits
+    low = flat.astype(np.uint8)
+    low &= 7
+    flat >>= 3
+    flat = np.take(at, flat)
+    del at
+    flat <<= 3
+    flat |= low
+    return flat
+
+
 def _next_layer(rows, cand, up, size, last):
     """Rows and candidates of layer k+1, one child per set candidate bit.
 
     Candidates go one 64-bit word at a time, and only the parents whose
-    word is nonzero are unpacked, 64 bytes each.  The positions 64*j + bit
-    of the set bits (j counting those parents) come in parent order; a
-    stable sort on the bit (a radix sort of uint8 keys) orders the children
-    by new top vertex u, then by parent: colex order.  Each parent row is
-    gathered as one void item into a structured view of the child rows,
-    which have the parents' dtype; 64*w + bit < nv fits it.
+    word is nonzero are read, by _set_bits, which unpacks their nonzero
+    bytes alone.  The positions 64*j + bit of the set bits (j counting
+    those parents) come in parent order; a stable sort on the bit (a radix
+    sort of uint8 keys) orders the children by new top vertex u, then by
+    parent: colex order.  Each parent row is gathered as one void item into
+    a structured view of the child rows, which have the parents' dtype;
+    64*w + bit < nv fits it.
     A child keeps the parent's candidates that are neighbours of u above
     u: np.take(axis=0) gathers the parents' words straight into the child
     block, and the rows of up are ANDed in, _BLOCK children at a time.
@@ -352,9 +381,7 @@ def _next_layer(rows, cand, up, size, last):
     at, found = 0, False
     for w in range(words):
         hit = np.flatnonzero(cand[:, w] != 0)
-        bits = np.unpackbits(cand[hit, w].view(np.uint8), bitorder="little")
-        flat = np.flatnonzero(bits.view(bool))
-        del bits
+        flat = _set_bits(cand[hit, w])
         flat = flat[np.argsort(flat.astype(np.uint8) & 63, kind="stable")]
         end = at + len(flat)
         top = child["top"][at:end]
@@ -389,19 +416,21 @@ def _layer_bytes(rows, words, children, parents, last) -> int:
 
     They are the child rows, the candidates (at most one block for the
     last layer) with two bytes of popcounts per word, and the temporaries
-    of the word that needs most.  A word first holds the nonzero parents'
-    index, words and unpacked bits beside one int64 index per child; then,
-    during the stable sort, three int64 indices and two byte keys per child;
-    then the parent index beside the gathered parent rows, or beside one
-    block's candidates, the rows of up gathered for them and their int64
-    index.
+    of the word that needs most.  Of its c children, h parents and z
+    nonzero bytes (at most min(8h, c): each holds a child), a word first
+    holds the parents' int64 index and gathered words, and, in _set_bits,
+    the int64 index of the nonzero bytes beside two int64 arrays and one
+    byte per child; then, during the stable sort, three int64 indices and
+    two byte keys per child; then the parent index beside the gathered
+    parent rows, or beside one block's candidates, the rows of up gathered
+    for them and their int64 index.
     """
     n, width = rows.shape
     item = rows.itemsize
     size = sum(children)
     cand = min(size, _BLOCK) if last else size
     temp = max(
-        max(n + 72 * h + 8 * c, 8 * h + 26 * c,
+        max(n + 16 * h + 8 * min(8 * h, c) + 17 * c, 8 * h + 26 * c,
             8 * c + max(item * width * c, 8 * (2 * words + 1) * min(c, _BLOCK)))
         for c, h in zip(children, parents)
     )

@@ -58,6 +58,7 @@ from .complexes import (
     _facet_row_indices,
     _find,
     _pack_graph,
+    _set_bits,
     enumerate_skeleton,
 )
 from .hamming import SpaceSpec
@@ -309,7 +310,7 @@ def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray
     A column s reads its cofaces s + v over the common neighbours v of its
     vertices, with coefficient (-1)**t for t = #{s_i < v}.  The columns go
     _BLOCK at a time: one AND of adjacency rows per vertex position gives
-    their common neighbours, and one unpacking of all their words lists
+    their common neighbours, and one _set_bits of all their words lists
     every coface of the block in one pass, in row-major order, which is by
     column and then by ascending v.  One _coface_keys and one _coface_rows
     then serve them all, and only the dicts are built in Python.
@@ -324,8 +325,7 @@ def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray
             common = np.take(adj, s[:, 0], axis=0)
             for i in range(1, width):
                 common &= np.take(adj, s[:, i], axis=0)
-            at, v = np.divmod(np.flatnonzero(np.unpackbits(
-                common.view(np.uint8), bitorder="little")), 64 * adj.shape[1])
+            at, v = np.divmod(_set_bits(common), 64 * adj.shape[1])
             del common
             key, slot = _coface_keys(np.take(s, at, axis=0), v, nv)
             row, hit = _coface_rows(key, keys_hi)

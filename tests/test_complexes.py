@@ -5,7 +5,8 @@ import math
 import os
 import subprocess
 import sys
-from itertools import accumulate, combinations
+import tracemalloc
+from itertools import accumulate, chain, combinations
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def lower_address_space(headroom):
     resource.setrlimit(resource.RLIMIT_AS, (size + headroom, hard))
 
 partial = []
-for mb in (144, 32):
+for mb in (120, 32):
     lower_address_space(mb << 20)
     try:
         enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
@@ -191,7 +192,7 @@ print(json.dumps({"partial": partial, "exit": main(["betti", "--n", "7", "--r", 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
 def test_byte_budget_aborts_under_a_low_address_space_limit():
     # Q7 at scale 3 peaks at about 180 MB, and its layers 4..7 need about
-    # 42, 94, 133 and 127 MB.  With 32 or 144 MB of address space left, they
+    # 40, 80, 104 and 95 MB.  With 32 or 120 MB of address space left, they
     # used to end in a MemoryError from np.empty or np.unpackbits; now the
     # layer that does not fit (4, then 6) is refused before it is allocated,
     # like one over the simplex budget, and the CLI exits 2.
@@ -440,6 +441,95 @@ def test_random_graph_past_one_word_is_in_colex_order():
     _assert_layers_are(skel, expected)
     for k in range(skel.dim_cap + 1):
         assert (np.diff(skel.layer_keys(k)) > 0).all(), f"k={k}"
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_complete_graphs_fill_every_candidate_byte(n):
+    # In K_n every candidate byte is 0xFF and bit 63 of each full word is
+    # set; layer k holds every (k+1)-subset, row for row in colex order,
+    # which is the reverse of combinations over the descending labels.
+    skel = flag_skeleton_from_graph(range(n), combinations(range(n), 2), 3)
+    assert not skel.complete_flag
+    for k, rows in enumerate(skel.simplices):
+        count = math.comb(n, k + 1)
+        assert rows.shape == (count, k + 1)
+        descending = combinations(range(n - 1, -1, -1), k + 1)
+        expected = np.fromiter(chain.from_iterable(descending), dtype=np.uint8,
+                               count=count * (k + 1)).reshape(count, k + 1)
+        assert np.array_equal(rows, expected[::-1, ::-1]), f"k={k}"
+
+
+def _set_bits_reference(words):
+    return np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))
+
+
+_RNG = np.random.default_rng(21)
+
+
+@pytest.mark.parametrize("words", [
+    np.zeros(0, dtype=np.uint64),
+    np.zeros(5, dtype=np.uint64),
+    np.zeros((4, 3), dtype=np.uint64),
+    np.full(3, 0xFFFF_FFFF_FFFF_FFFF, dtype=np.uint64),
+    np.full((2, 3), 0xFFFF_FFFF_FFFF_FFFF, dtype=np.uint64),
+    np.array([0, 1, 0, 1], dtype=np.uint64),
+    np.array([1 << 63, 0, 1 << 63], dtype=np.uint64),
+    # sparse and dense random words, and rows of W words
+    (np.uint64(1) << _RNG.integers(0, 64, 1000, dtype=np.uint64))
+    * (_RNG.random(1000) < 0.2),
+    _RNG.integers(0, 1 << 64, 1000, dtype=np.uint64),
+    _RNG.integers(0, 1 << 64, (300, 3), dtype=np.uint64)
+    * (_RNG.random((300, 3)) < 0.3),
+    _RNG.integers(0, 1 << 64, (77, 8), dtype=np.uint64)
+    & _RNG.integers(0, 1 << 64, (77, 8), dtype=np.uint64),
+], ids=["empty", "zero", "zero-rows", "ones", "ones-rows", "bit0", "bit63",
+        "sparse", "random", "random-rows", "dense-rows"])
+def test_set_bits_matches_unpackbits(words):
+    got = complexes._set_bits(words)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _set_bits_reference(words))
+
+
+def test_layer_bytes_bounds_the_traced_peak(monkeypatch):
+    # The byte gate trusts _layer_bytes, with per-word counts, to bound what
+    # each layer's _next_layer and the popcount after it allocate.  Layers
+    # above 10 K children are traced: uint8 rows on one word (Q6 at scale
+    # 3), on eight (Q9 at scale 2, capped so its last layer keeps one
+    # block), and on three (a random graph).
+    next_layer = complexes._next_layer
+    checked = []
+
+    def traced(rows, cand, up, size, last):
+        bound = complexes._layer_bytes(rows, up.shape[1], *complexes._word_counts(cand),
+                                       last)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            out = next_layer(rows, cand, up, size, last)
+            int(np.bitwise_count(out[1]).sum())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        if size > 10_000:
+            checked.append((rows.shape[1], size, peak, bound))
+        return out
+
+    monkeypatch.setattr(complexes, "_next_layer", traced)
+    rng = np.random.default_rng(150)
+    edges = [(a, b) for a, b in combinations(range(150), 2) if rng.random() < 0.3]
+    runs = [lambda: enumerate_skeleton(SpaceSpec.hypercube(6, 3), 11),
+            lambda: enumerate_skeleton(SpaceSpec.hypercube(9, 2), 4),
+            lambda: flag_skeleton_from_graph(range(150), edges, 8)]
+    for run in runs:
+        checked.clear()
+        run()
+        assert checked
+        for width, size, peak, bound in checked:
+            assert peak <= bound, f"layer {width} of {size}: {peak} > {bound}"
 
 
 @settings(max_examples=50, deadline=None)

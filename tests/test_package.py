@@ -85,20 +85,33 @@ def test_only_complexes_makes_rank_keys():
     assert found == []
 
 
-def test_only_reserve_reads_the_free_bytes():
-    # Every byte check in the package goes through the one gate, _reserve,
-    # so the threshold, the message and the abort are decided in one place.
+def _functions_naming(name: str) -> list[str]:
+    """"module.py:function" for every use of name in the package, by the
+    innermost function around it ("<module>" outside any)."""
     root = Path(cuberips.__file__).parent
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             where = getattr(node, "name", "<lambda>")
-        if getattr(node, "id", getattr(node, "attr", None)) == "_free_bytes":
+        if getattr(node, "id", getattr(node, "attr", None)) == name:
             found.append(f"{path.name}:{where}")
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    assert found == ["complexes.py:_reserve"]
+    return found
+
+
+def test_only_reserve_reads_the_free_bytes():
+    # Every byte check in the package goes through the one gate, _reserve,
+    # so the threshold, the message and the abort are decided in one place.
+    assert _functions_naming("_free_bytes") == ["complexes.py:_reserve"]
+
+
+def test_only_set_bits_unpacks_bitsets():
+    # Packed bitsets are read through one kernel, complexes._set_bits, which
+    # unpacks only their nonzero bytes: clique expansion and the coface
+    # reader both call it, and neither unpacks whole words on its own.
+    assert _functions_naming("unpackbits") == ["complexes.py:_set_bits"]
