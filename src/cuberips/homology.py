@@ -63,9 +63,16 @@ from .complexes import (
 )
 from .hamming import SpaceSpec
 
-# Columns per block in _lowest_cofaces: 2**16 keeps its temporaries at a
-# few MB on any layer.
-_BLOCK = 1 << 16
+# Columns per block in _lowest_cofaces and _coface_reader, and colliding
+# columns per block in _reduce_index.  A block of _lowest_cofaces holds its
+# simplices as int64 twice, 8 (k + 1) bytes a column each: 655 KB on δ_4 at
+# 2**14 columns, under the 2 MiB L2 cache per core of the 2-core x86-64 box
+# it was sized on, and 2.6 MB at 2**16.  On δ_4 of Q6 r=3 (100,175 live
+# columns) the call's traced peak is 4.0 MiB at 2**14 and 11.2 MiB at 2**16.
+# Of 2**12..2**16, 2**14 ran the benchmark's scale3-q6 and sphere3-q9r2
+# fastest; at 2**12 and 2**13 the per-block Python costs more.  On
+# scale3-q6 it saves about 11 % of the raw time of 2**16 (BENCH_22.json).
+_BLOCK = 1 << 14
 
 
 def _check_args(p: int, maxdim: int = 0) -> None:
@@ -151,7 +158,8 @@ def _reduce_index(low: np.ndarray, read, p: int,
     its lowest row.  One stable argsort of the lowest rows settles each on
     the first column in the walk that has it, and such a column is never
     read unless another collides with it.  The colliding columns are
-    reduced _BLOCK at a time, in rounds.  In a round each column is reduced
+    reduced _BLOCK at a time, in rounds, so one read holds at most _BLOCK
+    of them and the owners they wait for.  In a round each column is reduced
     in Python against the owners of its lowest rows that are already read,
     until it is zero, or its lowest row's owner is unread or missing.  Then
     one searchsorted of the rows the blocked columns wait for, against the
@@ -267,8 +275,10 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarra
     smallest v whose key is a row.  Only a complex that is not flag misses
     a key; its v is dropped and the next one tried.  The common neighbours
     are ANDed one 64-bit word at a time, and a simplex goes on to the next
-    word only when it has no coface in this one.  Columns go in blocks of
-    _BLOCK, so the temporaries stay small on any layer.
+    word only when it has no coface in this one.  Columns go _BLOCK at a
+    time: a block holds its simplices as int64 twice, all of them and then
+    those still pending, and a few int64 arrays of one entry per column
+    (see _BLOCK for their size).
     """
     low = np.full(len(rows), -1, dtype=np.int64)
     nv, width = len(adj), rows.shape[1]
@@ -310,10 +320,12 @@ def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray
     A column s reads its cofaces s + v over the common neighbours v of its
     vertices, with coefficient (-1)**t for t = #{s_i < v}.  The columns go
     _BLOCK at a time: one AND of adjacency rows per vertex position gives
-    their common neighbours, and one _set_bits of all their words lists
-    every coface of the block in one pass, in row-major order, which is by
-    column and then by ascending v.  One _coface_keys and one _coface_rows
-    then serve them all, and only the dicts are built in Python.
+    their common neighbours, one row of words per column, and one _set_bits
+    of all their words lists every coface of the block in one pass, in
+    row-major order, which is by column and then by ascending v.  One
+    _coface_keys and one _coface_rows then serve them all, and only the
+    dicts are built in Python.  So a block holds its simplices as int64,
+    its words, and a key, slot, row and coefficient per coface.
     """
     nv, width = len(adj), rows.shape[1]
 

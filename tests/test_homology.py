@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -674,6 +675,58 @@ def test_top_map_rows_are_the_rank_keys_of_the_layer_above(p, monkeypatch):
                 [(int(keys[row]), coeff) for row, coeff in want[c].items()]
                 for c in range(n)
             ], f"k={k}"
+
+
+def test_lowest_cofaces_working_set_stays_bounded(monkeypatch):
+    # δ_4 of Q6 r=3 has 100,175 live columns.  The traced peak of its
+    # _lowest_cofaces call was 4.0 MiB at 2**14 columns a block, 6.9 MiB at
+    # 2**15 and 11.2 MiB at 2**16, whose int64 copies of a block's
+    # simplices alone take 2.6 MB each.
+    real = homology._lowest_cofaces
+    calls = []
+
+    def traced(rows, keys_hi, adj, cols):
+        tracemalloc.start()
+        try:
+            low = real(rows, keys_hi, adj, cols)
+            calls.append((rows.shape[1], len(cols), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return low
+
+    monkeypatch.setattr(homology, "_lowest_cofaces", traced)
+    skel = enumerate_skeleton(SpaceSpec.hypercube(6, 3), 5)
+    assert betti_numbers(skel, 2, 4).reduced_betti == (0, 0, 0, 0, 11)
+    width, live, peak = calls[-1]
+    assert (width, live) == (5, 100_175)
+    assert peak <= 6 << 20, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pivot_rows_do_not_depend_on_the_block(p):
+    # Every reduced map of two sweeps over several blocks: δ_4 of Q6 r=3
+    # has 100,175 live columns and δ_3 of Q9 r=2, keyed by rank, 72,449.
+    q6r3 = enumerate_skeleton(SpaceSpec.hypercube(6, 3), 5)
+    real = homology._reduce_index
+
+    def pivot_rows(block):
+        got = []
+
+        def recording(low, read, p, stats=None):
+            rows = real(low, read, p, stats)
+            got.append((int((low >= 0).sum()), rows.tobytes()))
+            return rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "_BLOCK", block)
+            mp.setattr(homology, "_reduce_index", recording)
+            assert betti_numbers(q6r3, p, 4).reduced_betti == (0, 0, 0, 0, 11)
+            assert betti_single_dim(SpaceSpec.hypercube(9, 2), 3, p) == three_sphere_count(512)
+        return got
+
+    got = pivot_rows(homology._BLOCK)
+    assert max(nonempty for nonempty, _ in got) > 4 * homology._BLOCK
+    assert got == pivot_rows(1 << 16)
 
 
 def test_relabelling_does_not_change_betti(q4r2):
