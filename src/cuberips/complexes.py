@@ -16,6 +16,9 @@ the sorted labels and two arrays of edge positions a < b.  Each caller
 finds its edges in NumPy, and ``_pack_graph``, the one packer of graph
 bits, turns them into uint64 adjacency rows, once their bytes are known
 to fit: those of the edges from the vertex, flip or pair counts alone.
+It marks what it builds as flag, and so do ``delete_vertex`` and
+``induced_subcomplex`` when their input is marked: homology reads the top
+map of such a skeleton from the graph.
 
 Enumeration grows one layer at a time.  Next to its rows, layer k keeps
 packed candidate bitsets: row j of ``cand`` has bit u set when u is above
@@ -132,8 +135,9 @@ def _layer_ranks(rows: np.ndarray, nv: int) -> np.ndarray:
     if len(rows) == 0:
         return out
     table = _np_binom(nv, rows.shape[1])
+    # np.take from one table column per slot: about twice as fast as 2-D indexing.
     for t in range(rows.shape[1]):
-        out += table[rows[:, t], t + 1]
+        out += np.take(table[:, t + 1], rows[:, t])
     return out
 
 
@@ -188,6 +192,11 @@ class Skeleton:
     dim_cap: int
     complete_flag: bool
     source: SpaceSpec | None = None
+    # True on a skeleton that the package built as a flag complex, and on
+    # its induced subcomplexes, which are flag too; never set by the
+    # constructor.  Then every clique of the graph up to dim_cap is stored,
+    # and homology names the rows of its top map by rank key.
+    _is_flag = False
 
     def __post_init__(self):
         layers = self.simplices
@@ -243,12 +252,14 @@ class Skeleton:
         return len(keys) > 0 and bool(_find(keys, rank.rank)[1])
 
 
-def _built(verts, simplices, dim_cap: int, complete_flag: bool) -> Skeleton:
+def _built(verts, simplices, dim_cap: int, complete_flag: bool,
+           is_flag: bool = False) -> Skeleton:
     """A skeleton that this module built closed under faces and in colex
-    order, made without the checks of Skeleton's constructor."""
+    order, made without the checks of Skeleton's constructor; is_flag sets
+    its flag mark."""
     skel = object.__new__(Skeleton)
     skel.verts, skel.simplices, skel.dim_cap = verts, simplices, dim_cap
-    skel.complete_flag, skel.source = complete_flag, None
+    skel.complete_flag, skel.source, skel._is_flag = complete_flag, None, is_flag
     return skel
 
 
@@ -275,12 +286,13 @@ def _facet_row_indices(rows: np.ndarray, keys_lo: np.ndarray, nv: int) -> np.nda
     # place: its key is sum_{i < width-1} C(v_i, i+1).
     key = np.zeros(n, dtype=np.int64)
     for i in range(width - 1):
-        key += table[rows[:, i], i + 1]
+        key += np.take(table[:, i + 1], rows[:, i])
     for t in range(width - 1, -1, -1):
         if t < width - 1:
             # Dropping t instead of t+1 puts v_{t+1} in slot t, where v_t was.
-            key += table[rows[:, t + 1], t + 1]
-            key -= table[rows[:, t], t + 1]
+            column = table[:, t + 1]
+            key += np.take(column, rows[:, t + 1])
+            key -= np.take(column, rows[:, t])
         out[:, t], hit = _find(keys_lo, key)
         if not hit.all():
             raise ValueError("skeleton is not closed under faces")
@@ -294,13 +306,13 @@ def _positions(skel: Skeleton, labels) -> np.ndarray:
     return np.searchsorted(skel.verts, labels)
 
 
-def _restrict(skel: Skeleton, keep) -> Skeleton:
+def _restrict(skel: Skeleton, keep, is_flag: bool = False) -> Skeleton:
     """The subcomplex made of the rows that keep[k] selects in layer k.
 
     keep[k] is a boolean mask over skel.simplices[k], and the selection must
     be closed under faces.  Row i of layer 0 is vertex i, so keep[0] picks
     the vertices; they are renumbered in order.  The result stops at
-    dimension len(keep) - 1.
+    dimension len(keep) - 1 and carries the flag mark when is_flag is set.
     """
     renumber = np.cumsum(keep[0]) - 1
     dtype = _row_dtype(int(np.count_nonzero(keep[0])))
@@ -310,6 +322,7 @@ def _restrict(skel: Skeleton, keep) -> Skeleton:
          for rows, mask in zip(skel.simplices, keep)],
         len(keep) - 1,
         skel.complete_flag,
+        is_flag,
     )
 
 
@@ -577,7 +590,7 @@ def _flag_complex(verts: np.ndarray, a, b, dim_cap: int, budget) -> Skeleton:
     nv = len(verts)
     _reserve(8 * nv * -(-nv // 64), 0, what=" for the graph")
     layers, complete = _flag_layers(_pack_graph(a, b, nv), dim_cap, budget)
-    return _built(verts, layers, dim_cap, complete)
+    return _built(verts, layers, dim_cap, complete, is_flag=True)
 
 
 def enumerate_skeleton(space: SpaceSpec, dim_cap: int, budget=None) -> Skeleton:
@@ -681,11 +694,18 @@ def skeleton_from_facets(facets, dim_cap=None) -> Skeleton:
     return _built(np.asarray(verts, dtype=np.int64), sims, dim_cap, dim_cap >= top)
 
 
+def _induced(skel: Skeleton, keep: np.ndarray) -> Skeleton:
+    """The subcomplex induced on the vertices that the mask keep selects:
+    flag, and marked so, when skel is."""
+    return _restrict(skel, [keep[rows].all(axis=1) for rows in skel.simplices],
+                     skel._is_flag)
+
+
 def delete_vertex(skel: Skeleton, v: int) -> Skeleton:
     """Subcomplex on all vertices except label v."""
     keep = np.ones(skel.num_vertices, dtype=bool)
     keep[_positions(skel, [v])] = False
-    return _restrict(skel, [keep[rows].all(axis=1) for rows in skel.simplices])
+    return _induced(skel, keep)
 
 
 def induced_subcomplex(skel: Skeleton, vs) -> Skeleton:
@@ -693,7 +713,7 @@ def induced_subcomplex(skel: Skeleton, vs) -> Skeleton:
     want = sorted({int(v) for v in vs})
     keep = np.zeros(skel.num_vertices, dtype=bool)
     keep[_positions(skel, want)] = True
-    return _restrict(skel, [keep[rows].all(axis=1) for rows in skel.simplices])
+    return _induced(skel, keep)
 
 
 def star_cluster(skel: Skeleton, sigma) -> Skeleton:

@@ -5,7 +5,9 @@ columns, which have the same ranks as the boundary columns: the pivot rows
 of δ_{k-1} clear their columns of δ_k, so clearing flows from the cheap low
 dimensions upward and one pass suffices.  ``betti_single_dim`` is that sweep
 over layers 0..i of a flag complex: its top map δ_i reads its cofaces from
-the graph, and layer i+1 is never built.
+the graph, and layer i+1 is never built.  ``betti_numbers`` reads the top
+map of a flag skeleton from the graph too, whether or not layer maxdim+1 is
+stored.
 
 The sweep reduces no explicit matrix.  δ_0 needs no reduction at all: its
 pivot rows are the edges that join two components when the edges are added
@@ -16,9 +18,12 @@ neighbours v of its vertices, and their rows rise with v, so the lowest row
 of column s is s plus its smallest common neighbour: one AND of packed
 adjacency bitsets and one combinatorial-number-system key
 (``_lowest_cofaces``).  A row is named by one searchsorted of that key
-against the sorted keys of layer k+1 when the layer is stored, and by the
-key itself on the top map of ``betti_single_dim``: in a flag complex every
-common neighbour spans a coface, so no search is needed and no layer above.
+against the sorted keys of layer k+1, as clearing needs, except on the top
+map of a sweep over a skeleton that carries the flag mark, which every flag
+skeleton the package builds carries (see ``complexes``): there the row is
+the key itself.  In a flag complex every common neighbour spans a coface,
+so no search is needed, the keys of layer k+1 are never built, and
+``betti_single_dim`` builds no layer above at all.
 Full columns are enumerated the same way, in NumPy, a batch at a time, only
 when the kernel reads them (``_coface_reader``).  An entry whose new vertex
 lands in slot t carries the coefficient (-1)**t.
@@ -354,15 +359,17 @@ def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray
 
 
 def _coboundary_columns(skel: Skeleton, k: int, p: int, cleared: np.ndarray,
-                        adj: np.ndarray):
+                        adj: np.ndarray, keyed: bool = False):
     """(low, read) of δ_k for k >= 1, leaving out the columns in cleared,
     with no index built; adj is _adjacency of skel's edges.  The rows are
-    positions in layer k + 1; for k = dim_cap, whose layer above is not
-    stored, they are the rank keys of the cofaces, which is exact for a
-    flag complex only.  δ_0 is not reduced: see _spanning_forest.
+    positions in layer k + 1, whose rank keys are built and searched.  When
+    keyed is set, or for k = dim_cap, whose layer above is not stored, they
+    are the rank keys of the cofaces themselves, which is exact for a flag
+    complex only: no keys are built.  δ_0 is not reduced: see
+    _spanning_forest.
     """
     rows = skel.simplices[k]
-    keys_hi = skel.layer_keys(k + 1) if k < skel.dim_cap else None
+    keys_hi = None if keyed or k == skel.dim_cap else skel.layer_keys(k + 1)
     live = np.ones(len(rows), dtype=bool)
     live[cleared] = False
     low = _lowest_cofaces(rows, keys_hi, adj, np.flatnonzero(live))
@@ -423,22 +430,24 @@ def _spanning_forest(edges: np.ndarray, nv: int) -> np.ndarray:
 
 def _check_rank(rank: int, n_rows: int | None, n_cols: int) -> None:
     """Raise if rank passes the size of a map; n_rows is None for a map
-    whose rows are rank keys, which are never counted."""
+    past dim_cap, whose rows are the rank keys of a layer never built."""
     if rank > (n_cols if n_rows is None else min(n_rows, n_cols)):
         size = f"{n_cols}-column" if n_rows is None else f"{n_rows} x {n_cols}"
         raise RuntimeError(f"rank {rank} of a {size} map: engine bug")
 
 
-def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, flag: bool = False):
+def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, past_cap: bool = False):
     """Ranks of the boundary maps for dimensions 1..maxdim+1.
 
     Returns (ranks, top_known); ranks[j] = rank of the map from j-chains.
+    On a skeleton with the flag mark the top map δ_maxdim names its rows by
+    rank key, so the keys of layer maxdim+1 are neither built nor searched;
+    the lower maps name them by position, which clearing needs.  A map's
+    rank is checked against its size when layer k+1 is stored.
     top_known is False when the skeleton is truncated exactly at maxdim, in
-    which case ranks[maxdim+1] is a placeholder zero; unless flag is set,
-    which says that skel is a flag complex, so that the cofaces of layer
-    maxdim come from the graph with no layer above stored.  That top map
-    names its rows by rank key, and its rank is checked against its live
-    columns.
+    which case ranks[maxdim+1] is a placeholder zero; unless past_cap is set
+    on a marked skeleton, and then the top map is read from the graph with
+    no layer above stored, and its rank is checked against its live columns.
     """
     # Imported here, so that a process that only enumerates does not carry
     # the logging module (about 0.6 MB of RSS).
@@ -446,14 +455,14 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, flag: bool = False):
 
     log = logging.getLogger("cuberips")
     nv, counts = skel.num_vertices, skel.counts
-    keyed = flag and maxdim == skel.dim_cap and not skel.complete_flag
+    past_cap = past_cap and skel._is_flag and not skel.complete_flag
     ranks = [0] * (maxdim + 2)
     top_known = True
     cleared = np.zeros(0, dtype=np.int64)
     adj = _adjacency(skel.simplices[1], nv) if min(maxdim, skel.dim_cap) >= 1 else None
     for k in range(maxdim + 1):
         stored = k < skel.dim_cap
-        if not (stored or keyed):
+        if not (stored or past_cap):
             top_known = skel.complete_flag
             break
         if stored and counts[k + 1] == 0:
@@ -465,16 +474,17 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, flag: bool = False):
                       counts[0], len(cleared))
         else:
             stats: dict[str, int] = {}
+            keyed = skel._is_flag and k == maxdim
             # No local names: the columns and the keys they read are freed
             # once reduced.
             cleared = _reduce_index(
-                *_coboundary_columns(skel, k, p, cleared, adj), p, stats
+                *_coboundary_columns(skel, k, p, cleared, adj, keyed), p, stats
             )
             log.debug(
                 "δ_%d: %d columns, %d cleared, %d settled in NumPy, %d read, "
                 "%d additions in %d rounds%s", k, counts[k], n_cleared,
                 stats["settled"], stats["read"], stats["additions"], stats["rounds"],
-                "" if stored else "; rows are rank keys",
+                "; rows are rank keys" if keyed else "",
             )
         ranks[k + 1] = len(cleared)
         if stored:
@@ -484,13 +494,13 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, flag: bool = False):
     return ranks, top_known
 
 
-def _betti_vector(skel: Skeleton, p: int, maxdim: int, flag: bool) -> BettiVector:
-    """betti_numbers without its argument checks; flag as in
+def _betti_vector(skel: Skeleton, p: int, maxdim: int, past_cap: bool) -> BettiVector:
+    """betti_numbers without its argument checks; past_cap as in
     _coboundary_ranks."""
     if skel.num_vertices == 0:
         return BettiVector(p, maxdim, (0,) * (maxdim + 1), maxdim)
     counts = skel.counts
-    ranks, top_known = _coboundary_ranks(skel, maxdim, p, flag)
+    ranks, top_known = _coboundary_ranks(skel, maxdim, p, past_cap)
     betti = tuple(
         counts[i] - ranks[i] - ranks[i + 1] - (1 if i == 0 else 0)
         for i in range(maxdim + 1)
@@ -506,7 +516,10 @@ def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
 
     maxdim defaults to dim_cap and may not exceed it.  The top value is
     certified only if the (maxdim+1)-layer was stored or the skeleton is
-    complete; otherwise trusted_through = maxdim - 1.
+    complete; otherwise trusted_through = maxdim - 1.  On a skeleton that
+    the package built as a flag complex, or an induced subcomplex of one,
+    the top map δ_maxdim names its rows by rank key, so the keys of layer
+    maxdim+1 are never built or searched.
     """
     if maxdim is None:
         maxdim = skel.dim_cap
@@ -515,7 +528,7 @@ def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
         raise ValueError(
             f"maxdim {maxdim} exceeds dim_cap {skel.dim_cap}: insufficient skeleton"
         )
-    return _betti_vector(skel, p, maxdim, flag=False)
+    return _betti_vector(skel, p, maxdim, past_cap=False)
 
 
 def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
@@ -530,7 +543,8 @@ def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
     _check_args(p)
     if i < 1:
         raise ValueError("i must be >= 1 (betti_numbers covers dimension 0)")
-    return _betti_vector(enumerate_skeleton(space, i, budget), p, i, flag=True).reduced_betti[i]
+    skel = enumerate_skeleton(space, i, budget)
+    return _betti_vector(skel, p, i, past_cap=True).reduced_betti[i]
 
 
 def connected_components(skel: Skeleton) -> int:

@@ -25,6 +25,7 @@ from cuberips import (
     delete_vertex,
     enumerate_skeleton,
     flag_skeleton_from_graph,
+    greedy_collapse_probe,
     hamming_distance,
     induced_subcomplex,
     kneser_independence_complex,
@@ -694,6 +695,35 @@ def test_derived_complexes_match_brute_force_filters():
         closed = [{u} | {w for e in edges if u in e for w in e} for u in sigma]
         _assert_filtered(skel, star_cluster(skel, sigma),
                          lambda c: any(set(c) <= near for near in closed))
+
+
+def test_flag_mark_is_carried_by_flag_builds_and_their_induced_subcomplexes():
+    # Homology reads the top map of a marked skeleton from its graph, so
+    # the mark may sit only on a skeleton that stores every clique up to
+    # dim_cap: a flag build, or an induced subcomplex of one.
+    space = SpaceSpec.hypercube(4, 2)
+    marked = [
+        enumerate_skeleton(space, 5),
+        link_complex(space, 5, 3),
+        flag_skeleton_from_graph(range(5), [(0, 1), (1, 2), (0, 2), (3, 4)], 2),
+        kneser_independence_complex(5, 2),
+    ]
+    plain = [
+        star_cluster(marked[0], (0, 3)),
+        greedy_collapse_probe(marked[0], 1, budget=40).residual,
+        skeleton_from_facets([(0, 1, 2), (0, 3), (1, 3)], dim_cap=2),
+        Skeleton(verts=marked[0].verts, simplices=marked[0].simplices, dim_cap=5,
+                 complete_flag=True),
+    ]
+    for skel in marked:
+        assert skel._is_flag
+        assert delete_vertex(skel, int(skel.verts[0]))._is_flag
+        assert induced_subcomplex(skel, skel.verts[1:4].tolist())._is_flag
+    for skel in plain:
+        assert not skel._is_flag
+        assert not delete_vertex(skel, int(skel.verts[0]))._is_flag
+        assert not induced_subcomplex(skel, skel.verts[1:4].tolist())._is_flag
+    assert not star_cluster(marked[3], (0,))._is_flag
 
 
 def test_row_dtype_is_the_narrowest_that_holds_every_vertex():
