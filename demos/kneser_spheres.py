@@ -9,8 +9,9 @@ with rank C(n-1, 3): the complex is a wedge of that many 2-spheres.
 
 This script lists the simplex counts and Betti vectors for small n and
 checks them against the prediction.  Enumeration is capped at dimension 4,
-which is enough to certify homology through dimension 3; entries beyond
-the trusted range are marked with '?'.
+which certifies homology through dimension 4: the map out of dimension 4
+is read from the graph, and layer 5 (7 simplices for n = 7) is never
+built.  An entry beyond the trusted range would be marked with '?'.
 """
 
 from __future__ import annotations

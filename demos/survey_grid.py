@@ -1,7 +1,7 @@
 """Compare computed Betti numbers against the prediction table.
 
 Walks every (n, r) cell with n <= 5, computes reduced Betti numbers up to
-one dimension past the highest predicted one, and prints a verdict grid:
+the highest predicted dimension, exact there, and prints a verdict grid:
 rows are scales r, columns are cube exponents n.  Cells whose enumeration
 would be too large for a quick demo are skipped rather than failed.
 """

@@ -89,12 +89,13 @@ def splitting_check(m: int, r: int, p: int = 2, maxdim: int = 3,
         raise ValueError("maxdim must be >= 1")
     budget = _resolve_budget(budget)
     space = SpaceSpec(m=m, r=r)
+    # Exact through each cap once edges are stored: the link's cap is >= 1.
     whole = _enumerate_best_effort(
-        lambda cap: enumerate_skeleton(space, cap, budget=budget), maxdim + 1
+        lambda cap: enumerate_skeleton(space, cap, budget=budget), maxdim
     )
     deleted = delete_vertex(whole, m - 1)
     link = _enumerate_best_effort(
-        lambda cap: link_complex(space, m - 1, cap, budget=budget), maxdim
+        lambda cap: link_complex(space, m - 1, cap, budget=budget), max(maxdim - 1, 1)
     )
     link_empty = link.num_vertices == 0
 
@@ -173,7 +174,7 @@ def link_homotopy_check(m: int, p: int = 2, budget=None) -> LinkWedgeReport:
     if m < 1:
         raise ValueError("m must be >= 1")
     space = SpaceSpec(m=m, r=2)
-    link = link_complex(space, m - 1, 4, budget=budget)
+    link = link_complex(space, m - 1, 3, budget=budget)
     bv = betti_numbers(link, p=p, maxdim=3)
     expected = link_sphere_count(m - 1)
     passed = _is_wedge_of_two_spheres(bv, expected)
@@ -213,7 +214,7 @@ def kneser_check(n: int, p: int = 2, budget=None) -> KneserReport:
     """
     if n < 4:
         raise ValueError("n must be >= 4")
-    skel = kneser_independence_complex(n, 4, budget=budget)
+    skel = kneser_independence_complex(n, 3, budget=budget)
     bv = betti_numbers(skel, p=p, maxdim=3)
     expected = comb(n - 1, 3)
     passed = _is_wedge_of_two_spheres(bv, expected)
@@ -354,10 +355,10 @@ def survey_grid(n_max: int, r_max: int, p: int = 2, maxdim: int = 3,
     """Compute Betti numbers for every (n, r) with n <= n_max, r <= r_max and
     compare them against the prediction table.
 
-    Each cell is enumerated one dimension past the highest predicted Betti
-    number (or past maxdim when there is no prediction), under the smaller of
-    the usual budget and cell_cap; oversized cells are reported as skipped
-    rather than aborting the whole survey.
+    Each cell is enumerated through the highest predicted Betti number (or
+    maxdim with no prediction; 1 at least, so that its top value is exact),
+    under the smaller of the usual budget and cell_cap; oversized cells are
+    reported as skipped rather than aborting the whole survey.
     """
     if n_max < 1 or r_max < 0:
         raise ValueError("need n_max >= 1 and r_max >= 0")
@@ -369,7 +370,7 @@ def survey_grid(n_max: int, r_max: int, p: int = 2, maxdim: int = 3,
             need = max(pred.predicted_reduced_betti, default=maxdim)
             try:
                 skel = enumerate_skeleton(
-                    SpaceSpec.hypercube(n, r), need + 1, budget=budget
+                    SpaceSpec.hypercube(n, r), max(need, 1), budget=budget
                 )
             except SizeBudgetExceeded as err:
                 cells.append(

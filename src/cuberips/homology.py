@@ -3,11 +3,11 @@
 Every Betti number comes from one upward sweep through coboundary
 columns, which have the same ranks as the boundary columns: the pivot rows
 of δ_{k-1} clear their columns of δ_k, so clearing flows from the cheap low
-dimensions upward and one pass suffices.  ``betti_single_dim`` is that sweep
-over layers 0..i of a flag complex: its top map δ_i reads its cofaces from
-the graph, and layer i+1 is never built.  ``betti_numbers`` reads the top
-map of a flag skeleton from the graph too, whether or not layer maxdim+1 is
-stored.
+dimensions upward and one pass suffices.  On a skeleton with the flag mark
+and its edges stored, the top map δ_maxdim reads its cofaces from the
+graph, whether or not layer maxdim+1 is stored, so ``betti_numbers`` is
+exact through dim_cap; ``betti_single_dim`` is that sweep over layers
+0..i.  Any other skeleton truncated at maxdim gives a provisional top value.
 
 The sweep reduces no explicit matrix.  δ_0 needs no reduction at all: its
 pivot rows are the edges that join two components when the edges are added
@@ -22,8 +22,8 @@ against the sorted keys of layer k+1, as clearing needs, except on the top
 map of a sweep over a skeleton that carries the flag mark, which every flag
 skeleton the package builds carries (see ``complexes``): there the row is
 the key itself.  In a flag complex every common neighbour spans a coface,
-so no search is needed, the keys of layer k+1 are never built, and
-``betti_single_dim`` builds no layer above at all.
+so no search is needed, the keys of layer k+1 are never built, and layer
+k+1 need not be stored at all.
 Full columns are enumerated the same way, in NumPy, a batch at a time, only
 when the kernel reads them (``_coface_reader``).  An entry whose new vertex
 lands in slot t carries the coefficient (-1)**t.
@@ -93,8 +93,9 @@ class BettiVector:
     """Reduced Betti numbers over GF(p) through dimension maxdim.
 
     Entries above trusted_through are provisional: the skeleton stopped at
-    exactly maxdim without being complete, so the rank of the next boundary
-    map was unavailable and the top value may be inflated.
+    exactly maxdim without being complete, and either it has no flag mark
+    or it stores no edges (dim_cap 0), so the rank of the next boundary map
+    was unavailable and the top value may be inflated.
     """
 
     p: int
@@ -436,18 +437,18 @@ def _check_rank(rank: int, n_rows: int | None, n_cols: int) -> None:
         raise RuntimeError(f"rank {rank} of a {size} map: engine bug")
 
 
-def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, past_cap: bool = False):
+def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     """Ranks of the boundary maps for dimensions 1..maxdim+1.
 
     Returns (ranks, top_known); ranks[j] = rank of the map from j-chains.
     On a skeleton with the flag mark the top map δ_maxdim names its rows by
     rank key, so the keys of layer maxdim+1 are neither built nor searched;
-    the lower maps name them by position, which clearing needs.  A map's
-    rank is checked against its size when layer k+1 is stored.
-    top_known is False when the skeleton is truncated exactly at maxdim, in
-    which case ranks[maxdim+1] is a placeholder zero; unless past_cap is set
-    on a marked skeleton, and then the top map is read from the graph with
-    no layer above stored, and its rank is checked against its live columns.
+    the lower maps name them by position, which clearing needs.  A stored
+    map's rank is checked against its size.  When the skeleton is
+    truncated at maxdim == dim_cap, a marked one that stores edges
+    (dim_cap >= 1) reads δ_maxdim from the graph all the same and checks
+    its rank against its live columns; on any other, top_known is False
+    and ranks[maxdim+1] is a placeholder zero.
     """
     # Imported here, so that a process that only enumerates does not carry
     # the logging module (about 0.6 MB of RSS).
@@ -455,14 +456,14 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, past_cap: bool = Fals
 
     log = logging.getLogger("cuberips")
     nv, counts = skel.num_vertices, skel.counts
-    past_cap = past_cap and skel._is_flag and not skel.complete_flag
+    read_top = skel._is_flag and skel.dim_cap >= 1 and not skel.complete_flag
     ranks = [0] * (maxdim + 2)
     top_known = True
     cleared = np.zeros(0, dtype=np.int64)
     adj = _adjacency(skel.simplices[1], nv) if min(maxdim, skel.dim_cap) >= 1 else None
     for k in range(maxdim + 1):
         stored = k < skel.dim_cap
-        if not (stored or past_cap):
+        if not (stored or read_top):
             top_known = skel.complete_flag
             break
         if stored and counts[k + 1] == 0:
@@ -494,13 +495,31 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int, past_cap: bool = Fals
     return ranks, top_known
 
 
-def _betti_vector(skel: Skeleton, p: int, maxdim: int, past_cap: bool) -> BettiVector:
-    """betti_numbers without its argument checks; past_cap as in
-    _coboundary_ranks."""
+def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
+    """Reduced Betti numbers of the skeleton over GF(p), dims 0..maxdim.
+
+    maxdim defaults to dim_cap and may not exceed it.  The top value is
+    certified when the (maxdim+1)-layer is stored, when the skeleton is
+    complete, or when the skeleton carries the flag mark and stores edges:
+    every flag skeleton the package builds with dim_cap >= 1, and an
+    induced subcomplex of one.  There the top map δ_maxdim reads its
+    cofaces from the graph and names its rows by rank key, so layer
+    maxdim+1 need not be stored, and its keys are never built or searched.
+    Otherwise (a skeleton from facets or built by hand, a star cluster, a
+    collapse residual, or a flag skeleton at dim_cap 0) a truncated top
+    value is provisional: trusted_through = maxdim - 1.
+    """
+    if maxdim is None:
+        maxdim = skel.dim_cap
+    _check_args(p, maxdim)
+    if maxdim > skel.dim_cap:
+        raise ValueError(
+            f"maxdim {maxdim} exceeds dim_cap {skel.dim_cap}: insufficient skeleton"
+        )
     if skel.num_vertices == 0:
         return BettiVector(p, maxdim, (0,) * (maxdim + 1), maxdim)
     counts = skel.counts
-    ranks, top_known = _coboundary_ranks(skel, maxdim, p, past_cap)
+    ranks, top_known = _coboundary_ranks(skel, maxdim, p)
     betti = tuple(
         counts[i] - ranks[i] - ranks[i + 1] - (1 if i == 0 else 0)
         for i in range(maxdim + 1)
@@ -511,40 +530,15 @@ def _betti_vector(skel: Skeleton, p: int, maxdim: int, past_cap: bool) -> BettiV
     return BettiVector(p=p, maxdim=maxdim, reduced_betti=betti, trusted_through=trusted)
 
 
-def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
-    """Reduced Betti numbers of the skeleton over GF(p), dims 0..maxdim.
-
-    maxdim defaults to dim_cap and may not exceed it.  The top value is
-    certified only if the (maxdim+1)-layer was stored or the skeleton is
-    complete; otherwise trusted_through = maxdim - 1.  On a skeleton that
-    the package built as a flag complex, or an induced subcomplex of one,
-    the top map δ_maxdim names its rows by rank key, so the keys of layer
-    maxdim+1 are never built or searched.
-    """
-    if maxdim is None:
-        maxdim = skel.dim_cap
-    _check_args(p, maxdim)
-    if maxdim > skel.dim_cap:
-        raise ValueError(
-            f"maxdim {maxdim} exceeds dim_cap {skel.dim_cap}: insufficient skeleton"
-        )
-    return _betti_vector(skel, p, maxdim, past_cap=False)
-
-
 def betti_single_dim(space: SpaceSpec, i: int, p: int = 2, budget=None) -> int:
     """β̃_i of the flag complex of space, from the coboundary sweep over
-    layers 0..i.
-
-    Exact (not provisional): in a flag complex every common neighbour of an
-    i-simplex spans a coface, so the map into dimension i+1 is read from
-    the graph, its rows named by rank key, and layer i+1 is never built.
-    budget bounds the simplices of layers 0..i.
+    layers 0..i: betti_numbers of the skeleton enumerated through i, whose
+    top value is exact.  budget bounds the simplices of layers 0..i.
     """
     _check_args(p)
     if i < 1:
         raise ValueError("i must be >= 1 (betti_numbers covers dimension 0)")
-    skel = enumerate_skeleton(space, i, budget)
-    return _betti_vector(skel, p, i, past_cap=True).reduced_betti[i]
+    return betti_numbers(enumerate_skeleton(space, i, budget), p, i).reduced_betti[i]
 
 
 def connected_components(skel: Skeleton) -> int:

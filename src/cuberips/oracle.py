@@ -57,7 +57,12 @@ def dense_rank_oracle(mat: SparseBoundaryMatrix) -> int:
 
 
 def betti_numbers_dense(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
-    """Same contract as homology.betti_numbers, via the dense route."""
+    """Same contract as homology.betti_numbers, via the dense route.
+
+    On a flag skeleton truncated at maxdim == dim_cap >= 1, the layer above
+    is listed here from the stored edges, so its top value is certified as
+    the sparse route certifies it.
+    """
     _check_args(p)
     if maxdim is None:
         maxdim = skel.dim_cap
@@ -69,10 +74,12 @@ def betti_numbers_dense(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
     for arr in skel.simplices:
         labels = skel.verts[arr] if len(arr) else arr
         layers.append([tuple(row) for row in np.asarray(labels).tolist()])
+    if maxdim == skel.dim_cap >= 1 and skel._is_flag and not skel.complete_flag:
+        layers.append(_cliques_above(layers))
     ranks = [0] * (maxdim + 2)
     top_known = True
     for k in range(1, maxdim + 2):
-        if k > skel.dim_cap:
+        if k == len(layers):
             top_known = skel.complete_flag
             break
         lo, hi = layers[k - 1], layers[k]
@@ -93,6 +100,23 @@ def betti_numbers_dense(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
     )
     trusted = maxdim if top_known else maxdim - 1
     return BettiVector(p=p, maxdim=maxdim, reduced_betti=betti, trusted_through=trusted)
+
+
+def _cliques_above(layers: list[list[tuple]]) -> list[tuple]:
+    """The layer above the top one of a flag skeleton, as label tuples:
+    each top simplex extended by every common neighbour of its vertices
+    above its last one, with neighbours read from the stored edges."""
+    nbrs: dict[int, set[int]] = {u: set() for (u,) in layers[0]}
+    for a, b in layers[1]:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    top, above = layers[-1], []
+    for simplex in top:
+        common = set.intersection(*(nbrs[u] for u in simplex))
+        above += [simplex + (v,) for v in sorted(common) if v > simplex[-1]]
+        if len(top) * len(above) > _DENSE_CELL_CAP:
+            raise ValueError("complex too large for the dense oracle")
+    return above
 
 
 def random_flag_skeleton(rng, max_vertices: int = 10, edge_probability: float = 0.35,

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cuberips import experiments
+from cuberips import complexes, experiments
 from cuberips import (
     SizeBudgetExceeded,
     Skeleton,
@@ -125,9 +125,9 @@ def test_best_effort_takes_the_largest_cap_that_fits():
 
 
 def test_splitting_under_a_truncating_budget():
-    # the whole Q4 complex needs 392 simplices: at 380 it stops at dimension
-    # 3, so dimension 3 is undecided and left out
-    report = splitting_check(16, 2, maxdim=3, budget=380)
+    # the whole Q4 complex needs 376 simplices through dimension 3: at 300
+    # only layers 0..2 (256) fit, so dimension 3 is undecided and left out
+    report = splitting_check(16, 2, maxdim=3, budget=300)
     assert report.betti_whole.trusted_through == 2
     assert report.holds == {0: True, 1: True, 2: True}
     assert report.expected == {0: 0, 1: 0, 2: 0}
@@ -386,3 +386,34 @@ def test_survey_grid_validation():
         survey_grid(0, 2)
     with pytest.raises(ValueError):
         survey_grid(3, -1)
+
+
+def test_checks_build_no_layer_above_the_dimension_they_report(monkeypatch):
+    # A flag skeleton that stores edges is exact through its dim_cap, so a
+    # check enumerates only through the dimension it reports (through 1 at
+    # least, as a skeleton without edges has no graph to read its top map).
+    caps = []
+    flag_layers = complexes._flag_layers
+
+    def recording(up, dim_cap, budget=None):
+        caps.append(dim_cap)
+        return flag_layers(up, dim_cap, budget)
+
+    monkeypatch.setattr(complexes, "_flag_layers", recording)
+
+    def caps_of(check, *args, **kwargs):
+        caps.clear()
+        return check(*args, **kwargs), list(caps)
+
+    for m in (1, 12, 64):
+        assert max(caps_of(link_homotopy_check, m)[1]) <= 3
+    for n in (4, 7):
+        assert max(caps_of(kneser_check, n)[1]) <= 3
+    for m, r, maxdim in ((16, 2, 3), (20, 2, 1), (24, 3, 5)):
+        assert max(caps_of(splitting_check, m, r, maxdim=maxdim)[1]) <= maxdim
+    for maxdim in (0, 3):
+        report, got = caps_of(survey_grid, 5, 5, maxdim=maxdim, cell_cap=1 << 14)
+        assert len(got) == len(report.cells)  # one enumeration per cell
+        for cap, cell in zip(got, report.cells):
+            need = max(cell.prediction.predicted_reduced_betti, default=maxdim)
+            assert cap <= max(need, 1), (cell.n, cell.r)

@@ -291,12 +291,21 @@ def test_betti_validation(q3r2):
 def test_trusted_through_on_truncated_skeleton():
     space = SpaceSpec.hypercube(3, 2)
     truncated = enumerate_skeleton(space, 2)
-    bv = betti_numbers(truncated, maxdim=2)
-    assert bv.trusted_through == 1
-    assert bv.is_trusted(1) and not bv.is_trusted(2)
     full = betti_numbers(enumerate_skeleton(space, 3), maxdim=2)
     assert full.trusted_through == 2
+    # A flag skeleton reads its top map from the graph: exact at dim_cap.
+    assert not truncated.complete_flag
+    assert betti_numbers(truncated, maxdim=2) == full
+    # The same rows without the flag mark leave the top value provisional.
+    unmarked = Skeleton(truncated.verts, truncated.simplices, 2, False)
+    bv = betti_numbers(unmarked, maxdim=2)
+    assert bv.trusted_through == 1
+    assert bv.is_trusted(1) and not bv.is_trusted(2)
     assert bv.reduced_betti[:2] == full.reduced_betti[:2]
+    # A flag skeleton that stores no edges has no graph to read.
+    points = enumerate_skeleton(SpaceSpec.hypercube(3, 1), 0)
+    assert not points.complete_flag
+    assert betti_numbers(points).trusted_through == -1
 
 
 def test_single_dim_known_values():
@@ -571,6 +580,12 @@ def test_sparse_matches_dense_on_random_complexes(p):
     facet_rng = np.random.default_rng(100 + p)
     skeletons = [random_flag_skeleton(rng) for _ in range(15)]
     skeletons += [_random_facet_skeleton(facet_rng) for _ in range(30)]
+    # Low caps truncate some flag complexes, whose top values are then
+    # certified from the graph on both routes, from dim_cap 1 on.
+    capped = [random_flag_skeleton(rng, edge_probability=0.6, dim_cap=cap)
+              for cap in (0, 1, 2, 3) for _ in range(15)]
+    assert sum(not skel.complete_flag for skel in capped) >= 20
+    skeletons += capped
     for skel in skeletons:
         sparse = betti_numbers(skel, p=p)
         dense = betti_numbers_dense(skel, p=p)
@@ -810,8 +825,8 @@ def test_relabelling_does_not_change_betti(q4r2):
 def test_negative_betti_raises(monkeypatch):
     real = homology._coboundary_ranks
 
-    def inflated(skel, maxdim, p, flag=False):
-        ranks, top_known = real(skel, maxdim, p, flag)
+    def inflated(skel, maxdim, p):
+        ranks, top_known = real(skel, maxdim, p)
         ranks[1] += 1
         return ranks, top_known
 
