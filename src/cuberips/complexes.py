@@ -422,7 +422,7 @@ def _next_layer(rows, cand, up, size, last):
     return child_rows, child_cand
 
 
-def _layer_bytes(rows, words, children, parents, last) -> int:
+def _layer_bytes(rows, children, parents, last) -> int:
     """Bytes that _next_layer and the popcounts after it allocate at their
     peak, when the parents in rows have children[w] children from candidate
     word w, and parents[w] of them have that word nonzero.
@@ -440,7 +440,7 @@ def _layer_bytes(rows, words, children, parents, last) -> int:
     """
     n, width = rows.shape
     item = rows.itemsize
-    size = sum(children)
+    words, size = len(children), sum(children)
     cand = min(size, _BLOCK) if last else size
     temp = max(
         max(n + 16 * h + 8 * min(8 * h, c) + 17 * c, 8 * h + 26 * c,
@@ -451,11 +451,17 @@ def _layer_bytes(rows, words, children, parents, last) -> int:
 
 
 def _word_counts(cand) -> tuple[list[int], list[int]]:
-    """Per candidate word: the children it makes and the parents for which
-    it is nonzero."""
-    popcount = np.bitwise_count(cand)
-    return (popcount.sum(axis=0, dtype=np.int64).tolist(),
-            np.count_nonzero(popcount, axis=0).tolist())
+    """Per candidate word: its children and the parents it is nonzero for,
+    summed a column at a time (not down axis 0) over 1 MiB popcount blocks."""
+    words = cand.shape[1]
+    step = -(-(1 << 20) // max(words, 1))  # rows of one block
+    children, parents = [0] * words, [0] * words
+    for lo in range(0, len(cand), step):
+        popcount = np.bitwise_count(cand[lo : lo + step])
+        for w in range(words):
+            children[w] += int(popcount[:, w].sum())
+            parents[w] += int(np.count_nonzero(popcount[:, w]))
+    return children, parents
 
 
 def _reserve(need: int, k: int, counts=(), what: str = "") -> None:
@@ -539,17 +545,17 @@ def _flag_layers(up, dim_cap, budget=None):
     up is an (nv, ceil(nv/64)) little-endian uint64 array whose row v has
     bit u set iff u > v and uv is an edge.  Returns (layers, complete);
     layers[k] holds the rows of dimension k, of dtype _row_dtype(nv), for
-    every k <= dim_cap (empty above the top dimension).  Each layer's size, and how many
-    children and nonzero parents each candidate word makes, can be read off
-    the popcounts before it is built.  So a layer that would pass the
-    simplex budget, or whose bytes (_layer_bytes) exceed what the process
-    may still allocate (_free_bytes), aborts cleanly with the counts of the
-    finished layers.
+    every k <= dim_cap (empty above the top dimension).  Each layer's size,
+    and how many children and nonzero parents each candidate word makes,
+    are counted once (_word_counts) before it is built.  So a layer that
+    would pass the simplex budget, or whose bytes (_layer_bytes of those
+    counts) exceed what the process may still allocate (_free_bytes),
+    aborts cleanly with the counts of the finished layers.
     Layer dim_cap keeps no candidates: _next_layer returns one block of
     them that is nonzero exactly when the complex goes on above dim_cap.
     """
     budget = _resolve_budget(budget)
-    nv, words = up.shape
+    nv = len(up)
     dtype = _row_dtype(nv)
     layers = [np.zeros((0, k + 1), dtype=dtype) for k in range(dim_cap + 1)]
     rows, cand = np.arange(nv, dtype=dtype).reshape(nv, 1), up
@@ -562,18 +568,12 @@ def _flag_layers(up, dim_cap, budget=None):
             )
         if k:
             last = k == dim_cap
-            # First bound every word by one that holds all the children:
-            # reading the address space, or counting per word, costs about
-            # as much as building a small layer.
-            bound = _layer_bytes(rows, words, [size], [min(len(rows), size)], last)
-            try:
-                _reserve(bound, k, counts)
-            except SizeBudgetExceeded:
-                _reserve(_layer_bytes(rows, words, *_word_counts(cand), last), k, counts)
+            _reserve(_layer_bytes(rows, children, parents, last), k, counts)
             rows, cand = _next_layer(rows, cand, up, size, last)
         counts.append(size)
         layers[k] = rows
-        size = int(np.bitwise_count(cand).sum())
+        children, parents = _word_counts(cand)
+        size = sum(children)
         if size == 0:
             break
     return layers, size == 0

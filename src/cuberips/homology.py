@@ -364,13 +364,12 @@ def _coboundary_columns(skel: Skeleton, k: int, p: int, cleared: np.ndarray,
     """(low, read) of δ_k for k >= 1, leaving out the columns in cleared,
     with no index built; adj is _adjacency of skel's edges.  The rows are
     positions in layer k + 1, whose rank keys are built and searched.  When
-    keyed is set, or for k = dim_cap, whose layer above is not stored, they
-    are the rank keys of the cofaces themselves, which is exact for a flag
-    complex only: no keys are built.  δ_0 is not reduced: see
-    _spanning_forest.
+    keyed is set they are the rank keys of the cofaces themselves, which is
+    exact for a flag complex only: no keys are built, and layer k + 1 need
+    not be stored.  δ_0 is not reduced: see _spanning_forest.
     """
     rows = skel.simplices[k]
-    keys_hi = None if keyed or k == skel.dim_cap else skel.layer_keys(k + 1)
+    keys_hi = None if keyed else skel.layer_keys(k + 1)
     live = np.ones(len(rows), dtype=bool)
     live[cleared] = False
     low = _lowest_cofaces(rows, keys_hi, adj, np.flatnonzero(live))

@@ -364,6 +364,50 @@ def test_byte_budget_aborts_under_a_low_cgroup_limit(tmp_path, monkeypatch):
     assert partial == enumerate_skeleton(SpaceSpec.hypercube(7, 3), len(partial) - 1).counts
 
 
+# Q9 at scale 2 through dimension 3, on eight candidate words: for each layer
+# k >= 1, _layer_bytes of its per-word counts, and the larger bound that puts
+# every child in one word.
+_Q9R2_COUNTS = (512, 11520, 61440, 122880)
+_Q9R2_BOUNDS = {1: (1_285_632, 2_626_560), 2: (7_375_872, 14_131_200),
+                3: (11_057_408, 16_121_856)}
+
+
+def test_byte_gate_asks_once_per_layer_for_its_per_word_bound(monkeypatch):
+    # With the free bytes pinned below, at and between the two bounds of
+    # each layer, every layer asks _reserve once, for its per-word bound,
+    # and the first layer whose bound passes what is free aborts with it.
+    asked = []
+    reserve = complexes._reserve
+
+    def spy(need, k, counts=(), what=""):
+        if k:
+            asked.append((k, need))
+        return reserve(need, k, counts, what)
+
+    monkeypatch.setattr(complexes, "_reserve", spy)
+    space = SpaceSpec.hypercube(9, 2)
+    per_word = [(k, bound) for k, (bound, _) in _Q9R2_BOUNDS.items()]
+    frees = [None]
+    for bound, one_word in _Q9R2_BOUNDS.values():
+        frees += [bound - 1, bound, (bound + one_word) // 2, one_word - 1]
+    for free in frees:
+        if free is not None:
+            monkeypatch.setattr(complexes, "_free_bytes", lambda free=free: free)
+        asked.clear()
+        stop = next((k for k, bound in per_word if free is not None and bound > free),
+                    None)
+        if stop is None:
+            assert enumerate_skeleton(space, 3).counts == _Q9R2_COUNTS
+            assert asked == per_word, f"free={free}"
+            continue
+        need = _Q9R2_BOUNDS[stop][0]
+        with pytest.raises(SizeBudgetExceeded) as err:
+            enumerate_skeleton(space, 3)
+        assert str(err.value) == f"dimension {stop} needs about {need} bytes, {free} are left"
+        assert err.value.partial_counts == _Q9R2_COUNTS[:stop]
+        assert asked == per_word[:stop], f"free={free}"
+
+
 def test_enumerate_argument_validation():
     with pytest.raises(ValueError):
         enumerate_skeleton(SpaceSpec(m=4, r=1), -1)
@@ -493,7 +537,7 @@ def test_set_bits_matches_unpackbits(words):
 
 def test_layer_bytes_bounds_the_traced_peak(monkeypatch):
     # The byte gate trusts _layer_bytes, with per-word counts, to bound what
-    # each layer's _next_layer and the popcount after it allocate.  Layers
+    # each layer's _next_layer and the counts after it allocate.  Layers
     # above 10 K children are traced: uint8 rows on one word (Q6 at scale
     # 3), on eight (Q9 at scale 2, capped so its last layer keeps one
     # block), and on three (a random graph).
@@ -501,8 +545,7 @@ def test_layer_bytes_bounds_the_traced_peak(monkeypatch):
     checked = []
 
     def traced(rows, cand, up, size, last):
-        bound = complexes._layer_bytes(rows, up.shape[1], *complexes._word_counts(cand),
-                                       last)
+        bound = complexes._layer_bytes(rows, *complexes._word_counts(cand), last)
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
@@ -510,7 +553,7 @@ def test_layer_bytes_bounds_the_traced_peak(monkeypatch):
         base = tracemalloc.get_traced_memory()[0]
         try:
             out = next_layer(rows, cand, up, size, last)
-            int(np.bitwise_count(out[1]).sum())
+            complexes._word_counts(out[1])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not was_tracing:

@@ -737,8 +737,8 @@ def _flag_builds(rng):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_top_map_rows_are_the_rank_keys_of_the_layer_above(p, monkeypatch):
-    # At k = dim_cap the columns of δ_k name each coface by its rank key;
-    # with layer k+1 stored they name it by its position among those keys.
+    # Keyed, at k = dim_cap, the columns of δ_k name each coface by its rank
+    # key; with layer k+1 stored they name it by its position among those keys.
     monkeypatch.setattr(homology, "_BLOCK", 61)  # many blocks per layer
     rng = np.random.default_rng(90 + p)
     for build, top in _flag_builds(rng):
@@ -748,7 +748,8 @@ def test_top_map_rows_are_the_rank_keys_of_the_layer_above(p, monkeypatch):
             adj = homology._adjacency(narrow.simplices[1], nv)
             keys = wide.layer_keys(k + 1)
             cleared = np.flatnonzero(rng.random(n) < 0.2)
-            low, read = homology._coboundary_columns(narrow, k, p, cleared, adj)
+            low, read = homology._coboundary_columns(narrow, k, p, cleared, adj,
+                                                     keyed=True)
             want_low, want_read = homology._coboundary_columns(wide, k, p, cleared, adj)
             assert low.tolist() == np.where(want_low >= 0, keys[want_low], -1).tolist()
             got, want = read(np.arange(n)), want_read(np.arange(n))
