@@ -195,7 +195,7 @@ class Skeleton:
     # True on a skeleton that the package built as a flag complex, and on
     # its induced subcomplexes, which are flag too; never set by the
     # constructor.  Then every clique of the graph up to dim_cap is stored,
-    # and homology names the rows of its top map by rank key.
+    # and homology reads every map's cofaces from the graph unsearched.
     _is_flag = False
 
     def __post_init__(self):

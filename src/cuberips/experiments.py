@@ -268,7 +268,7 @@ def greedy_collapse_probe(skel: Skeleton, target_dim: int,
         for k in range(target_dim + 1, top + 1)
     }
     alive = [np.ones(c, dtype=bool) for c in counts[: top + 1]]
-    # One heap of free faces, face t of dimension k keyed -k * span + t, so
+    # One heap of free faces, face t of dimension k pushed as -k * span + t, so
     # divmod(key, span) == (-k, t).  A count only falls: a face that is no
     # longer free never is again, and its key is dropped when popped.
     span = max(counts)

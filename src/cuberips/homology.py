@@ -4,10 +4,10 @@ Every Betti number comes from one upward sweep through coboundary
 columns, which have the same ranks as the boundary columns: the pivot rows
 of δ_{k-1} clear their columns of δ_k, so clearing flows from the cheap low
 dimensions upward and one pass suffices.  On a skeleton with the flag mark
-and its edges stored, the top map δ_maxdim reads its cofaces from the
-graph, whether or not layer maxdim+1 is stored, so ``betti_numbers`` is
-exact through dim_cap; ``betti_single_dim`` is that sweep over layers
-0..i.  Any other skeleton truncated at maxdim gives a provisional top value.
+and its edges stored, every map reads its cofaces from the graph, so δ_maxdim
+needs no layer maxdim+1 and ``betti_numbers`` is exact through dim_cap;
+``betti_single_dim`` is that sweep over layers 0..i.  Any other skeleton
+truncated at maxdim gives a provisional top value.
 
 The sweep reduces no explicit matrix.  δ_0 needs no reduction at all: its
 pivot rows are the edges that join two components when the edges are added
@@ -17,13 +17,13 @@ colex order the cofaces of a k-simplex s are s + v for the common
 neighbours v of its vertices, and their rows rise with v, so the lowest row
 of column s is s plus its smallest common neighbour: one AND of packed
 adjacency bitsets and one combinatorial-number-system key
-(``_lowest_cofaces``).  A row is named by one searchsorted of that key
-against the sorted keys of layer k+1, as clearing needs, except on the top
-map of a sweep over a skeleton that carries the flag mark, which every flag
-skeleton the package builds carries (see ``complexes``): there the row is
-the key itself.  In a flag complex every common neighbour spans a coface,
-so no search is needed, the keys of layer k+1 are never built, and layer
-k+1 need not be stored at all.
+(``_lowest_cofaces``).  Every map names a row by that rank key, as Ripser
+names a simplex by its combinatorial index.  In a flag complex, as every
+skeleton with the flag mark is (see ``complexes``), every common neighbour
+spans a coface, so no map searches the keys of the layer above; on any
+other skeleton one searchsorted against them drops the keys of no simplex.
+Clearing alone needs positions: δ_k starts by turning the pivot keys of
+δ_{k-1} into positions in layer k, so a map that never runs ranks nothing.
 Full columns are enumerated the same way, in NumPy, a batch at a time, only
 when the kernel reads them (``_coface_reader``).  An entry whose new vertex
 lands in slot t carries the coefficient (-1)**t.
@@ -156,9 +156,9 @@ def _reduce_index(low: np.ndarray, read, p: int,
     """Sorted int64 pivot rows over GF(p) of the matrix whose column c has
     lowest row low[c] (-1 for an empty or cleared column, which is left
     out) and whose columns read(cols) returns in full, as {c: {row: coeff}}
-    with each column's rows in ascending order.  A row is any int64 id that
-    rises with row order: a position in the layer above, or a rank key.
-    The rank is the number of rows returned.
+    with each column's rows in ascending order.  A row is a rank key, or
+    any other int64 id that rises with row order.  The rank is the number of
+    rows returned.
 
     The live columns are walked from last to first, and a column's pivot is
     its lowest row.  One stable argsort of the lowest rows settles each on
@@ -260,31 +260,31 @@ def _adjacency(edges: np.ndarray, nv: int) -> np.ndarray:
     return _pack_graph(np.concatenate([a, b]), np.concatenate([b, a]), nv)
 
 
-def _coface_rows(key: np.ndarray, keys_hi: np.ndarray | None):
-    """(row, hit): the row of each coface key, and whether it is one.  The
-    rows are positions in the sorted rank keys keys_hi, or, when keys_hi is
-    None, the keys themselves, all of which are rows: in a flag complex
-    every common neighbour v of s spans the coface s + v."""
+def _is_coface(key: np.ndarray, keys_hi: np.ndarray | None) -> np.ndarray:
+    """Whether each coface key names a simplex: every one when keys_hi is
+    None, on a skeleton with the flag mark, since in a flag complex every
+    common neighbour v of s spans the coface s + v; otherwise those among
+    the sorted rank keys keys_hi of the layer above."""
     if keys_hi is None:
-        return key, np.ones(len(key), dtype=bool)
-    return _find(keys_hi, key)
+        return np.ones(len(key), dtype=bool)
+    return _find(keys_hi, key)[1]
 
 
 def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray,
                     cols: np.ndarray) -> np.ndarray:
-    """Row (see _coface_rows) of the lowest coface of each simplex rows[c]
-    for c in cols; -1 for the other columns and for a simplex with no
-    coface.
+    """Rank key of the lowest coface of each simplex rows[c] for c in cols;
+    -1 for the other columns and for a simplex with no coface.  keys_hi is
+    as in _is_coface.
 
     The cofaces of s = (s_0 < ... < s_k) are s + v for common neighbours v
-    of its vertices, and their rows rise with v, so the lowest one adds the
-    smallest v whose key is a row.  Only a complex that is not flag misses
-    a key; its v is dropped and the next one tried.  The common neighbours
-    are ANDed one 64-bit word at a time, and a simplex goes on to the next
-    word only when it has no coface in this one.  Columns go _BLOCK at a
-    time: a block holds its simplices as int64 twice, all of them and then
-    those still pending, and a few int64 arrays of one entry per column
-    (see _BLOCK for their size).
+    of its vertices, and their keys rise with v, so the lowest one adds the
+    smallest v whose key names a simplex.  Only a complex that is not flag
+    misses a key; its v is dropped and the next one tried.  The common
+    neighbours are ANDed one 64-bit word at a time, and a simplex goes on to
+    the next word only when it has no coface in this one.  Columns go
+    _BLOCK at a time: a block holds its simplices as int64 twice, all of
+    them and then those still pending, and a few int64 arrays of one entry
+    per column (see _BLOCK for their size).
     """
     low = np.full(len(rows), -1, dtype=np.int64)
     nv, width = len(adj), rows.shape[1]
@@ -306,8 +306,9 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarra
             while len(at):
                 one = bits & (~bits + 1)  # the lowest set bit
                 v = 64 * w + np.bitwise_count(one - 1).astype(np.int64)
-                row, hit = _coface_rows(_coface_keys(s, v, nv)[0], keys_hi)
-                low[block[at[hit]]] = row[hit]
+                key = _coface_keys(s, v, nv)[0]
+                hit = _is_coface(key, keys_hi)
+                low[block[at[hit]]] = key[hit]
                 bits ^= one
                 later.append(at[~hit & (bits == 0)])
                 more = np.flatnonzero(~hit & (bits != 0))
@@ -319,9 +320,9 @@ def _lowest_cofaces(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarra
 def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray,
                    p: int):
     """read(cols): the coboundary columns over GF(p) of the simplices
-    rows[c] for c in the int64 array cols, as {c: {row: coeff}} with each
-    column's rows (see _coface_rows) in ascending order.  adj is the graph
-    from _adjacency.
+    rows[c] for c in the int64 array cols, as {c: {key: coeff}} with each
+    column's cofaces named by rank key, in ascending order.  adj is the
+    graph from _adjacency, and keys_hi is as in _is_coface.
 
     A column s reads its cofaces s + v over the common neighbours v of its
     vertices, with coefficient (-1)**t for t = #{s_i < v}.  The columns go
@@ -329,9 +330,9 @@ def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray
     their common neighbours, one row of words per column, and one _set_bits
     of all their words lists every coface of the block in one pass, in
     row-major order, which is by column and then by ascending v.  One
-    _coface_keys and one _coface_rows then serve them all, and only the
-    dicts are built in Python.  So a block holds its simplices as int64,
-    its words, and a key, slot, row and coefficient per coface.
+    _coface_keys and one _is_coface then serve them all, and only the dicts
+    are built in Python.  So a block holds its simplices as int64, its
+    words, and a key, slot, hit and coefficient per coface.
     """
     nv, width = len(adj), rows.shape[1]
 
@@ -346,13 +347,13 @@ def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray
             at, v = np.divmod(_set_bits(common), 64 * adj.shape[1])
             del common
             key, slot = _coface_keys(np.take(s, at, axis=0), v, nv)
-            row, hit = _coface_rows(key, keys_hi)
+            hit = _is_coface(key, keys_hi)
             ends = np.cumsum(np.bincount(at[hit], minlength=len(block))).tolist()
-            row = row[hit].tolist()
+            key = key[hit].tolist()
             coeff = np.where(slot[hit] & 1, 1, p - 1).tolist()  # (-1)**(slot - 1)
             a = 0
             for c, b in zip(block.tolist(), ends):
-                out[c] = dict(zip(row[a:b], coeff[a:b]))
+                out[c] = dict(zip(key[a:b], coeff[a:b]))
                 a = b
         return out
 
@@ -360,16 +361,14 @@ def _coface_reader(rows: np.ndarray, keys_hi: np.ndarray | None, adj: np.ndarray
 
 
 def _coboundary_columns(skel: Skeleton, k: int, p: int, cleared: np.ndarray,
-                        adj: np.ndarray, keyed: bool = False):
-    """(low, read) of δ_k for k >= 1, leaving out the columns in cleared,
-    with no index built; adj is _adjacency of skel's edges.  The rows are
-    positions in layer k + 1, whose rank keys are built and searched.  When
-    keyed is set they are the rank keys of the cofaces themselves, which is
-    exact for a flag complex only: no keys are built, and layer k + 1 need
-    not be stored.  δ_0 is not reduced: see _spanning_forest.
+                        adj: np.ndarray, keys_hi: np.ndarray | None):
+    """(low, read) of δ_k for k >= 1, leaving out the columns at the
+    positions cleared, with no index built; adj is _adjacency of skel's
+    edges.  Each row is the rank key of a coface.  keys_hi is as in
+    _is_coface: None on a skeleton with the flag mark, whose layer k + 1
+    need not be stored.  δ_0 is not reduced: see _spanning_forest.
     """
     rows = skel.simplices[k]
-    keys_hi = None if keyed else skel.layer_keys(k + 1)
     live = np.ones(len(rows), dtype=bool)
     live[cleared] = False
     low = _lowest_cofaces(rows, keys_hi, adj, np.flatnonzero(live))
@@ -440,14 +439,15 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     """Ranks of the boundary maps for dimensions 1..maxdim+1.
 
     Returns (ranks, top_known); ranks[j] = rank of the map from j-chains.
-    On a skeleton with the flag mark the top map δ_maxdim names its rows by
-    rank key, so the keys of layer maxdim+1 are neither built nor searched;
-    the lower maps name them by position, which clearing needs.  A stored
-    map's rank is checked against its size.  When the skeleton is
-    truncated at maxdim == dim_cap, a marked one that stores edges
-    (dim_cap >= 1) reads δ_maxdim from the graph all the same and checks
-    its rank against its live columns; on any other, top_known is False
-    and ranks[maxdim+1] is a placeholder zero.
+    Every map names its rows by rank key; δ_k (k >= 2) starts by turning
+    the pivot keys of δ_{k-1} into the positions in layer k it clears.  A
+    marked skeleton ranks no other layer, so never layer maxdim+1; an
+    unmarked one ranks layer k+1 in δ_k to test its keys, and δ_{k+1}
+    clears by the same keys.  A stored map's rank is checked against its
+    size.  When the skeleton is truncated at maxdim == dim_cap, a marked
+    one that stores edges (dim_cap >= 1) reads δ_maxdim from the graph all
+    the same and checks its rank against its live columns; on any other,
+    top_known is False and ranks[maxdim+1] is a placeholder zero.
     """
     # Imported here, so that a process that only enumerates does not carry
     # the logging module (about 0.6 MB of RSS).
@@ -459,13 +459,14 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
     ranks = [0] * (maxdim + 2)
     top_known = True
     cleared = np.zeros(0, dtype=np.int64)
+    keys_hi = None  # the keys of layer k + 1 that an unmarked skeleton tests
     adj = _adjacency(skel.simplices[1], nv) if min(maxdim, skel.dim_cap) >= 1 else None
     for k in range(maxdim + 1):
         stored = k < skel.dim_cap
         if not (stored or read_top):
             top_known = skel.complete_flag
             break
-        if stored and counts[k + 1] == 0:
+        if counts[k] == 0 or stored and counts[k + 1] == 0:  # no column or no row
             continue
         n_cleared = len(cleared)
         if k == 0:
@@ -473,19 +474,17 @@ def _coboundary_ranks(skel: Skeleton, maxdim: int, p: int):
             log.debug("δ_0: %d columns, %d edges in the spanning forest",
                       counts[0], len(cleared))
         else:
+            if k >= 2:  # δ_{k-1}'s pivot keys, as positions in layer k
+                cleared = np.searchsorted(
+                    skel.layer_keys(k) if keys_hi is None else keys_hi, cleared)
+            keys_hi = None if skel._is_flag else skel.layer_keys(k + 1)
             stats: dict[str, int] = {}
-            keyed = skel._is_flag and k == maxdim
-            # No local names: the columns and the keys they read are freed
-            # once reduced.
-            cleared = _reduce_index(
-                *_coboundary_columns(skel, k, p, cleared, adj, keyed), p, stats
-            )
-            log.debug(
-                "δ_%d: %d columns, %d cleared, %d settled in NumPy, %d read, "
-                "%d additions in %d rounds%s", k, counts[k], n_cleared,
-                stats["settled"], stats["read"], stats["additions"], stats["rounds"],
-                "; rows are rank keys" if keyed else "",
-            )
+            # No local names: the columns are freed once reduced.
+            cleared = _reduce_index(*_coboundary_columns(skel, k, p, cleared, adj, keys_hi),
+                                    p, stats)
+            log.debug("δ_%d: %d columns, %d cleared, %d settled in NumPy, %d read, "
+                      "%d additions in %d rounds", k, counts[k], n_cleared, stats["settled"],
+                      stats["read"], stats["additions"], stats["rounds"])
         ranks[k + 1] = len(cleared)
         if stored:
             _check_rank(ranks[k + 1], *counts[k : k + 2])
@@ -501,9 +500,9 @@ def betti_numbers(skel: Skeleton, p: int = 2, maxdim=None) -> BettiVector:
     certified when the (maxdim+1)-layer is stored, when the skeleton is
     complete, or when the skeleton carries the flag mark and stores edges:
     every flag skeleton the package builds with dim_cap >= 1, and an
-    induced subcomplex of one.  There the top map δ_maxdim reads its
-    cofaces from the graph and names its rows by rank key, so layer
-    maxdim+1 need not be stored, and its keys are never built or searched.
+    induced subcomplex of one.  There every map reads its cofaces from the
+    graph and names its rows by rank key, so layer maxdim+1 need not be
+    stored, and its keys are never built or searched.
     Otherwise (a skeleton from facets or built by hand, a star cluster, a
     collapse residual, or a flag skeleton at dim_cap 0) a truncated top
     value is provisional: trusted_through = maxdim - 1.

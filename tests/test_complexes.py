@@ -741,7 +741,7 @@ def test_derived_complexes_match_brute_force_filters():
 
 
 def test_flag_mark_is_carried_by_flag_builds_and_their_induced_subcomplexes():
-    # Homology reads the top map of a marked skeleton from its graph, so
+    # Homology reads every map of a marked skeleton from its graph, so
     # the mark may sit only on a skeleton that stores every clique up to
     # dim_cap: a flag build, or an induced subcomplex of one.
     space = SpaceSpec.hypercube(4, 2)

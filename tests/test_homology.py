@@ -24,6 +24,7 @@ from cuberips import (
     flag_skeleton_from_graph,
     gf_rank,
     greedy_collapse_probe,
+    induced_subcomplex,
     integer_homology_snf,
     kneser_independence_complex,
     random_flag_skeleton,
@@ -334,8 +335,8 @@ def test_single_dim_matches_closed_form_across_words(m):
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("p", [2, 3])
 def test_single_dim_equals_the_vector_on_every_prefix(r, p):
-    # The top map of betti_single_dim names its rows by rank key and builds
-    # no layer above; the vector reads layer i + 1 from a stored skeleton.
+    # betti_single_dim reads its top map from the graph and builds no layer
+    # above; the vector has layer i + 1 stored.
     # Through dimension 7 of layers 0..8 its values are those of
     # betti_numbers(enumerate_skeleton(space, i + 1), p, i) for every i.
     for m in range(1, 65):
@@ -372,31 +373,33 @@ def test_single_dim_never_builds_the_layer_above(monkeypatch):
 
 def test_top_map_keyed_by_rank_reduces_its_collisions(caplog):
     # δ_4 of Q6 at scale 3 is the one map of the sweep whose columns
-    # collide; as the top map of betti_single_dim its rows are rank keys.
+    # collide; as every map's, its rows are rank keys.
     with caplog.at_level(logging.DEBUG, logger="cuberips"):
         assert betti_single_dim(SpaceSpec.hypercube(6, 3), 4) == 11
     assert [r.getMessage() for r in caplog.records if r.name == "cuberips"][-1] == (
         "δ_4: 144704 columns, 44529 cleared, 99812 settled in NumPy, 1232 read, "
-        "1221 additions in 14 rounds; rows are rank keys"
+        "1221 additions in 14 rounds"
     )
 
 
 def test_keyed_top_map_logs_rank_keys_with_the_layer_above_stored(caplog):
-    # betti_numbers names the top map's rows by rank key on a flag skeleton
-    # even when layer 5 is stored; a hand-built copy carries no flag mark,
-    # so it searches the keys of layer 5, and its kernel meets the same
-    # collisions, since the keys rise with the positions.
+    # betti_numbers reads every map of a flag skeleton from the graph, even
+    # with layer 5 stored; a hand-built copy carries no flag mark, so each
+    # of its maps tests its keys against the layer above.  Both name rows by
+    # rank key, so every map's kernel meets the same collisions.
     skel = enumerate_skeleton(SpaceSpec.hypercube(6, 3), 5)
     plain = Skeleton(skel.verts, skel.simplices, skel.dim_cap, skel.complete_flag)
-    tail = ("δ_4: 144704 columns, 44529 cleared, 99812 settled in NumPy, 1232 read, "
-            "1221 additions in 14 rounds")
-    for s, suffix in ((skel, "; rows are rank keys"), (plain, "")):
+    logs = []
+    for s in (skel, plain):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="cuberips"):
             assert betti_numbers(s, 2, 4).reduced_betti == (0, 0, 0, 0, 11)
-        lines = [r.getMessage() for r in caplog.records if r.name == "cuberips"]
-        assert lines[-1] == tail + suffix
-        assert not any(line.endswith("rank keys") for line in lines[:-1])
+        logs.append([r.getMessage() for r in caplog.records if r.name == "cuberips"])
+    assert logs[0] == logs[1] and len(logs[0]) == 5
+    assert logs[0][-1] == (
+        "δ_4: 144704 columns, 44529 cleared, 99812 settled in NumPy, 1232 read, "
+        "1221 additions in 14 rounds"
+    )
 
 
 def test_betti_numbers_never_ranks_the_layer_above_the_top_map(monkeypatch):
@@ -411,14 +414,56 @@ def test_betti_numbers_never_ranks_the_layer_above_the_top_map(monkeypatch):
     monkeypatch.setattr(complexes, "_layer_ranks", layer_ranks)
     bv = betti_numbers(skel, maxdim=4)
     assert bv.reduced_betti == (0, 0, 0, 0, 1) and bv.trusted_through == 4
-    # δ_1..δ_3 search layers 2..4, of widths 3..5; δ_4 reads keys, not layer 5
+    # δ_2..δ_4 clear by the keys of layers 2..4, of widths 3..5; no map ranks layer 5
     assert widths and max(widths) == 5
+
+
+def test_each_map_ranks_only_the_layer_it_clears(monkeypatch):
+    # δ_k (k >= 2) ranks layer k when it starts, to clear by the pivot keys
+    # of δ_{k-1}.  An unmarked skeleton also ranks layer k + 1 in δ_k, to
+    # test its keys, and δ_{k+1} clears by those same keys.  So no layer is
+    # ranked twice, a flag skeleton never ranks layer maxdim+1 though it is
+    # stored, and a map that never runs ranks nothing: δ_9 of the complete
+    # Q5 at scale 3 has no rows, so layer 9 is never ranked.
+    widths = []
+    real_ranks = complexes._layer_ranks
+
+    def layer_ranks(rows, nv):
+        widths.append(rows.shape[1])
+        return real_ranks(rows, nv)
+
+    q6r3 = enumerate_skeleton(SpaceSpec.hypercube(6, 3), 5)
+    plain = Skeleton(q6r3.verts, q6r3.simplices, q6r3.dim_cap, q6r3.complete_flag)
+    q5r3 = enumerate_skeleton(SpaceSpec.hypercube(5, 3), 9)
+    assert q5r3.complete_flag and q5r3.top_dimension() == 9
+    monkeypatch.setattr(complexes, "_layer_ranks", layer_ranks)
+    for skel, p, maxdim, want, ranked in (
+        (q6r3, 2, 4, (0, 0, 0, 0, 11), [3, 4, 5]),
+        (plain, 2, 4, (0, 0, 0, 0, 11), [3, 4, 5, 6]),
+        (q5r3, 3, 9, (0, 0, 0, 0, 1, 0, 0, 10, 0, 0), [3, 4, 5, 6, 7, 8, 9]),
+    ):
+        widths.clear()
+        assert betti_numbers(skel, p, maxdim).reduced_betti == want
+        assert sorted(widths) == ranked  # layer k has width k + 1
+
+
+def test_an_empty_layer_ends_the_sweep():
+    # Induced on the path 5-6-7, a flag skeleton truncated at dim_cap 2
+    # keeps no triangle, so no map from δ_1 on has a row, and the top map
+    # has no column for the forest's edges to clear.
+    k5 = list(combinations(range(5), 2))
+    skel = flag_skeleton_from_graph(range(8), k5 + [(5, 6), (6, 7)], 2)
+    path = induced_subcomplex(skel, [5, 6, 7])
+    assert not path.complete_flag and path.counts == (3, 2, 0)
+    bv = betti_numbers(path)
+    assert bv == betti_numbers_dense(path)
+    assert bv.reduced_betti == (0, 0, 0) and bv.trusted_through == 2
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_keyed_top_map_ranks_equal_the_searched_ones_on_every_prefix(r):
     # The same layers built by hand carry no flag mark, so every map of
-    # their sweep searches the layer above it.
+    # their sweep tests its keys against the layer above it.
     for m in range(1, 65):
         skel = enumerate_skeleton(SpaceSpec(m=m, r=r), 5)
         plain = Skeleton(skel.verts, skel.simplices, skel.dim_cap, skel.complete_flag)
@@ -670,10 +715,16 @@ def _assert_columns_match_the_index(skel: Skeleton, p: int, rng) -> None:
         facet_rows = homology._facet_row_indices(
             skel.simplices[k + 1], skel.layer_keys(k), nv
         )
+        # The rows of the index are positions in layer k + 1; the sweep's are
+        # their rank keys, tested against that layer unless the skeleton is
+        # marked flag.
+        keys = skel.layer_keys(k + 1)
         want_low, want_read = _csr_columns(
-            *_coboundary_reference(facet_rows, n), p, cleared
+            *_coboundary_reference(facet_rows, n), p, cleared, keys
         )
-        low, read = homology._coboundary_columns(skel, k, p, cleared, adj)
+        low, read = homology._coboundary_columns(
+            skel, k, p, cleared, adj, None if skel._is_flag else keys
+        )
         assert low.dtype == np.int64
         assert low.tolist() == want_low.tolist(), f"k={k}"
         got, want = read(np.arange(n)), want_read(np.arange(n))
@@ -737,8 +788,9 @@ def _flag_builds(rng):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_top_map_rows_are_the_rank_keys_of_the_layer_above(p, monkeypatch):
-    # Keyed, at k = dim_cap, the columns of δ_k name each coface by its rank
-    # key; with layer k+1 stored they name it by its position among those keys.
+    # On a flag skeleton the columns of δ_k name each coface by its rank key,
+    # read from the graph: the same columns at k = dim_cap as with layer k+1
+    # stored, and as when every key is tested against that layer's keys.
     monkeypatch.setattr(homology, "_BLOCK", 61)  # many blocks per layer
     rng = np.random.default_rng(90 + p)
     for build, top in _flag_builds(rng):
@@ -746,17 +798,19 @@ def test_top_map_rows_are_the_rank_keys_of_the_layer_above(p, monkeypatch):
             narrow, wide = build(k), build(k + 1)
             nv, n = narrow.num_vertices, narrow.counts[k]
             adj = homology._adjacency(narrow.simplices[1], nv)
-            keys = wide.layer_keys(k + 1)
             cleared = np.flatnonzero(rng.random(n) < 0.2)
-            low, read = homology._coboundary_columns(narrow, k, p, cleared, adj,
-                                                     keyed=True)
-            want_low, want_read = homology._coboundary_columns(wide, k, p, cleared, adj)
-            assert low.tolist() == np.where(want_low >= 0, keys[want_low], -1).tolist()
-            got, want = read(np.arange(n)), want_read(np.arange(n))
-            assert [list(got[c].items()) for c in range(n)] == [
-                [(int(keys[row]), coeff) for row, coeff in want[c].items()]
-                for c in range(n)
-            ], f"k={k}"
+            columns = [
+                homology._coboundary_columns(s, k, p, cleared, adj, keys)
+                for s, keys in ((narrow, None), (wide, None), (wide, wide.layer_keys(k + 1)))
+            ]
+            (low, read), rest = columns[0], columns[1:]
+            got = read(np.arange(n))
+            for want_low, want_read in rest:
+                assert low.tolist() == want_low.tolist(), f"k={k}"
+                want = want_read(np.arange(n))
+                assert [list(got[c].items()) for c in range(n)] == [
+                    list(want[c].items()) for c in range(n)
+                ], f"k={k}"
 
 
 def test_lowest_cofaces_working_set_stays_bounded(monkeypatch):
@@ -787,7 +841,7 @@ def test_lowest_cofaces_working_set_stays_bounded(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_pivot_rows_do_not_depend_on_the_block(p):
     # Every reduced map of two sweeps over several blocks: δ_4 of Q6 r=3
-    # has 100,175 live columns and δ_3 of Q9 r=2, keyed by rank, 72,449.
+    # has 100,175 live columns and δ_3 of Q9 r=2 72,449.
     q6r3 = enumerate_skeleton(SpaceSpec.hypercube(6, 3), 5)
     real = homology._reduce_index
 

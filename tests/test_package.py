@@ -110,6 +110,14 @@ def test_only_reserve_reads_the_free_bytes():
     assert _functions_naming("_free_bytes") == ["complexes.py:_reserve"]
 
 
+def test_homology_ranks_layers_only_for_boundaries_and_clearing():
+    # Every map of the sweep names its rows by rank key, so homology ranks a
+    # layer only to list facet rows and where a map starts, to turn the
+    # previous map's pivot keys into the positions it clears.
+    found = {f for f in _functions_naming("layer_keys") if f.startswith("homology.py:")}
+    assert found == {"homology.py:boundary_matrix", "homology.py:_coboundary_ranks"}
+
+
 def test_only_set_bits_unpacks_bitsets():
     # Packed bitsets are read through one kernel, complexes._set_bits, which
     # unpacks only their nonzero bytes: clique expansion and the coface
