@@ -21,22 +21,28 @@ It marks what it builds as flag, and so do ``delete_vertex`` and
 map of such a skeleton from the graph.
 
 Enumeration grows one layer at a time.  Next to its rows, layer k keeps
-packed candidate bitsets: row j of ``cand`` has bit u set when u is above
-the top vertex of simplex j and adjacent to all its vertices.  Each set bit
-is one child in layer k+1, so the next layer's size is a popcount, known
-before anything is built.  The children are read off one 64-bit word at a
-time, from the parents whose word is nonzero only, by ``_set_bits``, which
-unpacks only the nonzero bytes of a bitset; the coface reader of homology
-reads common neighbours through it too.  The children are sorted by their
-new top vertex; parent rows and candidate words are then gathered with
-np.take, a row as a single void item.
+packed candidate bitsets: a row has bit u set when u is above the top
+vertex of its simplex and adjacent to all its vertices.  Each set bit is
+one child in layer k+1, so the next layer's size is a popcount, known
+before anything is built.  The candidates are stored word-major, one
+contiguous uint64 plane per 64-bit word: plane w holds word w of each row
+whose top vertex is below 64(w+1).  Rows are sorted by top vertex, so that
+is a prefix of the layer, and no word that is zero by construction (one
+below the word of the top vertex) is stored or scanned.  Layer 0's planes
+are prefixes of the rows of the word-major graph.  The children are read
+off one plane at a time, from the parents whose word is nonzero only, by
+``_set_bits``, which unpacks only the nonzero bytes of a bitset; the
+coface reader of homology reads common neighbours through it too.  The
+children are sorted by their new top vertex; parent rows are then gathered
+with np.take, a row as a single void item, and each child plane from the
+same plane of the parents.
 
 The layer at dim_cap keeps no candidates.  All they would tell is whether
 the complex goes on above dim_cap, and the first child that has one
 answers that: its candidates are formed a block of children at a time, and
 forming stops at the first nonzero block.  Before each layer is allocated,
-its bytes are estimated from the popcounts (rows, candidates and the
-largest word's temporaries) and compared with what the process may still
+its bytes are estimated from the per-plane popcounts (rows, planes and the
+largest plane's temporaries) and compared with what the process may still
 allocate: its RLIMIT_AS less its address space, or else physical memory
 less its resident set, and no more than its memory cgroup has left.  A
 layer that does not fit raises SizeBudgetExceeded with the finished
@@ -51,7 +57,7 @@ import math
 import os
 import resource
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -326,13 +332,19 @@ def _restrict(skel: Skeleton, keep, is_flag: bool = False) -> Skeleton:
     )
 
 
-def _pack_graph(a, b, nv: int) -> np.ndarray:
+def _pack_graph(a, b, nv: int, word_major: bool = False) -> np.ndarray:
     """The graph on nv vertices with an arc from a[i] to b[i] for every i,
     as an (nv, ceil(nv/64)) little-endian uint64 array whose row v has bit
-    u set iff some arc goes from v to u.  Repeated arcs are harmless."""
-    out = np.zeros((nv, -(-nv // 64)), dtype="<u8")
+    u set iff some arc goes from v to u; word_major packs its transpose,
+    whose row w holds word w of every vertex.  Repeated arcs are harmless."""
+    words = -(-nv // 64)
     bit = np.left_shift(np.uint64(1), (b & 63).astype(np.uint64))
-    np.bitwise_or.at(out, (a, b >> 6), bit)
+    if word_major:
+        out = np.zeros((words, nv), dtype="<u8")
+        np.bitwise_or.at(out, (b >> 6, a), bit)
+    else:
+        out = np.zeros((nv, words), dtype="<u8")
+        np.bitwise_or.at(out, (a, b >> 6), bit)
     return out
 
 
@@ -362,41 +374,46 @@ def _set_bits(words: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _next_layer(rows, cand, up, size, last):
-    """Rows and candidates of layer k+1, one child per set candidate bit.
+def _next_layer(rows, planes, graph, children, last):
+    """Rows and candidate planes of layer k+1, one child per set candidate
+    bit, when plane w of layer k makes children[w] children.
 
-    Candidates go one 64-bit word at a time, and only the parents whose
-    word is nonzero are read, by _set_bits, which unpacks their nonzero
-    bytes alone.  The positions 64*j + bit of the set bits (j counting
-    those parents) come in parent order; a stable sort on the bit (a radix
-    sort of uint8 keys) orders the children by new top vertex u, then by
-    parent: colex order.  Each parent row is gathered as one void item into
-    a structured view of the child rows, which have the parents' dtype;
+    Candidates go one plane at a time, and only the parents whose word is
+    nonzero are read, by _set_bits, which unpacks their nonzero bytes
+    alone.  The positions 64*j + bit of the set bits (j counting those
+    parents) come in parent order; a stable sort on the bit (a radix sort
+    of uint8 keys) orders the children by new top vertex u, then by parent:
+    colex order.  Each parent row is gathered as one void item into a
+    structured view of the child rows, which have the parents' dtype;
     64*w + bit < nv fits it.
     A child keeps the parent's candidates that are neighbours of u above
-    u: np.take(axis=0) gathers the parents' words straight into the child
-    block, and the rows of up are ANDed in, _BLOCK children at a time.
-    Each int64 index array is dropped as soon as it has been read.
+    u, in the words w' >= w of its top: for each, np.take gathers the
+    parents' plane w' straight into the child plane and word w' of the
+    graph row of u is ANDed in, _BLOCK children at a time.  Child plane w'
+    holds the children made from planes 0..w', so its length is the sum
+    of children[:w' + 1].  Each int64 index array is dropped as soon as it
+    has been read.
 
     The last layer (last=True) keeps no candidates: they would only tell
     whether any child has one.  They are formed a block at a time and
     dropped, and forming stops at the first nonzero block, which is
-    returned in their place; with none, an empty array is.  So what is
-    returned is nonzero exactly when layer k+2 would not be empty.
+    returned as the one plane in their place; with none, no plane is.  So
+    what is returned is nonzero exactly when layer k+2 would not be empty.
     """
-    n, width = rows.shape
-    words = up.shape[1]
-    child_rows = np.empty((size, width + 1), dtype=rows.dtype)
-    child_cand = up[:0] if last else np.empty((size, words), dtype=up.dtype)
+    width = rows.shape[1]
+    words = len(graph)
+    ends = list(accumulate(children))
+    child_rows = np.empty((ends[-1], width + 1), dtype=rows.dtype)
+    child_planes = [] if last else [np.empty(end, dtype=graph.dtype) for end in ends]
     head = f"V{rows.itemsize * width}"
     items = rows.view(head)[:, 0]
     child = child_rows.view([("head", head), ("top", rows.dtype)])[:, 0]
     at, found = 0, False
-    for w in range(words):
-        hit = np.flatnonzero(cand[:, w] != 0)
-        flat = _set_bits(cand[hit, w])
+    for w, plane in enumerate(planes):
+        hit = np.flatnonzero(plane != 0)
+        flat = _set_bits(plane[hit])
         flat = flat[np.argsort(flat.astype(np.uint8) & 63, kind="stable")]
-        end = at + len(flat)
+        end = ends[w]
         top = child["top"][at:end]
         np.bitwise_and(flat, 63, out=top, casting="unsafe")
         top += 64 * w
@@ -406,61 +423,69 @@ def _next_layer(rows, cand, up, size, last):
         child["head"][at:end] = np.take(items, parent)
         for lo in range(0, 0 if found else end - at, _BLOCK):
             hi = min(lo + _BLOCK, end - at)
-            if last:
-                out = np.empty((hi - lo, words), dtype=up.dtype)
-            else:
-                out = child_cand[at + lo : at + hi]
-            # parent is in range, and mode="clip" lets np.take write into
-            # out directly instead of through a buffer
-            np.take(cand, parent[lo:hi], axis=0, out=out, mode="clip")
-            out &= np.take(up, top[lo:hi], axis=0)
-            if last and out.any():
-                child_cand, found = out, True
+            tops = top[lo:hi].astype(np.intp)
+            mask = np.empty(hi - lo, dtype=graph.dtype)
+            block = np.empty(hi - lo, dtype=graph.dtype) if last else None
+            for v in range(w, words):
+                out = block if last else child_planes[v][at + lo : at + hi]
+                # every index is in range, and mode="clip" lets np.take
+                # write into out directly instead of through a buffer
+                np.take(planes[v], parent[lo:hi], out=out, mode="clip")
+                out &= np.take(graph[v], tops, out=mask, mode="clip")
+                if last and out.any():
+                    child_planes, found = [out], True
+                    break
+            del tops, mask, block  # before the next block or plane makes its own
+            if found:
                 break
         del parent
         at = end
-    return child_rows, child_cand
+    return child_rows, child_planes
 
 
-def _layer_bytes(rows, children, parents, last) -> int:
-    """Bytes that _next_layer and the popcounts after it allocate at their
-    peak, when the parents in rows have children[w] children from candidate
-    word w, and parents[w] of them have that word nonzero.
+def _layer_bytes(rows, planes, children, parents, last) -> int:
+    """Bytes that _next_layer and the counts after it allocate at their
+    peak, when the parents in rows have the given candidate planes, and
+    plane w makes children[w] children and is nonzero for parents[w] of them.
 
-    They are the child rows, the candidates (at most one block for the
-    last layer) with two bytes of popcounts per word, and the temporaries
-    of the word that needs most.  Of its c children, h parents and z
-    nonzero bytes (at most min(8h, c): each holds a child), a word first
-    holds the parents' int64 index and gathered words, and, in _set_bits,
+    They are the child rows; the child planes, child plane w' holding the
+    children of planes 0..w' (the last layer keeps at most one block); the
+    larger of the temporaries of the plane that needs most and what
+    _word_counts reads the longest child plane with (a byte per word, and
+    NumPy's cast buffer of 8 bytes per element for their sum); and 8 KiB
+    and 256 bytes per plane for the Python objects.  Of its c children, h
+    parents and z nonzero bytes (at most min(8h, c): each holds a child),
+    a plane of p words first holds a byte per word beside the parents'
+    int64 index; then that index, their gathered words and, in _set_bits,
     the int64 index of the nonzero bytes beside two int64 arrays and one
     byte per child; then, during the stable sort, three int64 indices and
     two byte keys per child; then the parent index beside the gathered
-    parent rows, or beside one block's candidates, the rows of up gathered
-    for them and their int64 index.
+    parent rows, or beside one block's int64 top vertices and the graph
+    words gathered for them.
     """
-    n, width = rows.shape
+    width = rows.shape[1]
     item = rows.itemsize
-    words, size = len(children), sum(children)
-    cand = min(size, _BLOCK) if last else size
+    ends = list(accumulate(children))
+    longest = min(ends[-1], _BLOCK) if last else ends[-1]
     temp = max(
-        max(n + 16 * h + 8 * min(8 * h, c) + 17 * c, 8 * h + 26 * c,
-            8 * c + max(item * width * c, 8 * (2 * words + 1) * min(c, _BLOCK)))
-        for c, h in zip(children, parents)
+        max(len(plane) + 8 * h, 16 * h + 8 * min(8 * h, c) + 17 * c, 8 * h + 26 * c,
+            8 * c + max(item * width * c, 16 * min(c, _BLOCK)))
+        for c, h, plane in zip(children, parents, planes)
     )
-    return item * (width + 1) * size + 10 * words * cand + temp
+    counted = longest + 8 * min(longest, np.getbufsize())
+    return (item * (width + 1) * ends[-1] + 8 * (longest if last else sum(ends))
+            + max(temp, counted) + 8192 + 256 * len(planes))
 
 
-def _word_counts(cand) -> tuple[list[int], list[int]]:
-    """Per candidate word: its children and the parents it is nonzero for,
-    summed a column at a time (not down axis 0) over 1 MiB popcount blocks."""
-    words = cand.shape[1]
-    step = -(-(1 << 20) // max(words, 1))  # rows of one block
-    children, parents = [0] * words, [0] * words
-    for lo in range(0, len(cand), step):
-        popcount = np.bitwise_count(cand[lo : lo + step])
-        for w in range(words):
-            children[w] += int(popcount[:, w].sum())
-            parents[w] += int(np.count_nonzero(popcount[:, w]))
+def _word_counts(planes) -> tuple[list[int], list[int]]:
+    """Per candidate plane: its children (set bits) and the parents it is
+    nonzero for, from one byte of popcount per word."""
+    children, parents = [], []
+    for plane in planes:
+        bits = np.bitwise_count(plane)
+        children.append(int(bits.sum()))
+        parents.append(int(np.count_nonzero(bits)))
+        del bits  # before the next plane's popcounts are made
     return children, parents
 
 
@@ -539,26 +564,29 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _flag_layers(up, dim_cap, budget=None):
-    """Breadth-first clique expansion over packed candidate bitsets.
+def _flag_layers(graph, dim_cap, budget=None):
+    """Breadth-first clique expansion over word-major candidate planes.
 
-    up is an (nv, ceil(nv/64)) little-endian uint64 array whose row v has
-    bit u set iff u > v and uv is an edge.  Returns (layers, complete);
-    layers[k] holds the rows of dimension k, of dtype _row_dtype(nv), for
-    every k <= dim_cap (empty above the top dimension).  Each layer's size,
-    and how many children and nonzero parents each candidate word makes,
-    are counted once (_word_counts) before it is built.  So a layer that
-    would pass the simplex budget, or whose bytes (_layer_bytes of those
-    counts) exceed what the process may still allocate (_free_bytes),
-    aborts cleanly with the counts of the finished layers.
-    Layer dim_cap keeps no candidates: _next_layer returns one block of
-    them that is nonzero exactly when the complex goes on above dim_cap.
+    graph is the (ceil(nv/64), nv) little-endian uint64 array whose row w
+    holds word w of every vertex v, with bit u - 64w set iff u > v and uv
+    is an edge.  Returns (layers, complete); layers[k] holds the rows of
+    dimension k, of dtype _row_dtype(nv), for every k <= dim_cap (empty
+    above the top dimension).  Layer 0's planes are prefixes of the rows
+    of graph.  Each layer's size, and how many children and nonzero
+    parents each plane makes, are counted once (_word_counts) before it is
+    built.  So a layer that would pass the simplex budget, or whose bytes
+    (_layer_bytes of those counts) exceed what the process may still
+    allocate (_free_bytes), aborts cleanly with the counts of the finished
+    layers.  Layer dim_cap keeps no candidates: _next_layer returns one
+    block of them that is nonzero exactly when the complex goes on above
+    dim_cap.
     """
     budget = _resolve_budget(budget)
-    nv = len(up)
+    nv = graph.shape[1]
     dtype = _row_dtype(nv)
     layers = [np.zeros((0, k + 1), dtype=dtype) for k in range(dim_cap + 1)]
-    rows, cand = np.arange(nv, dtype=dtype).reshape(nv, 1), up
+    rows = np.arange(nv, dtype=dtype).reshape(nv, 1)
+    planes = [words[: 64 * (w + 1)] for w, words in enumerate(graph)]
     counts: list[int] = []
     size = nv  # of layer k, from the popcount of layer k-1's candidates
     for k in range(dim_cap + 1):
@@ -568,11 +596,11 @@ def _flag_layers(up, dim_cap, budget=None):
             )
         if k:
             last = k == dim_cap
-            _reserve(_layer_bytes(rows, children, parents, last), k, counts)
-            rows, cand = _next_layer(rows, cand, up, size, last)
+            _reserve(_layer_bytes(rows, planes, children, parents, last), k, counts)
+            rows, planes = _next_layer(rows, planes, graph, children, last)
         counts.append(size)
         layers[k] = rows
-        children, parents = _word_counts(cand)
+        children, parents = _word_counts(planes)
         size = sum(children)
         if size == 0:
             break
@@ -589,7 +617,8 @@ def _flag_complex(verts: np.ndarray, a, b, dim_cap: int, budget) -> Skeleton:
         raise ValueError("dim_cap must be nonnegative")
     nv = len(verts)
     _reserve(8 * nv * -(-nv // 64), 0, what=" for the graph")
-    layers, complete = _flag_layers(_pack_graph(a, b, nv), dim_cap, budget)
+    layers, complete = _flag_layers(_pack_graph(a, b, nv, word_major=True), dim_cap,
+                                    budget)
     return _built(verts, layers, dim_cap, complete, is_flag=True)
 
 

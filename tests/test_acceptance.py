@@ -236,7 +236,7 @@ def _reduced_euler(counts) -> int:
 
 
 def test_scale_three_census_of_the_seven_cube():
-    # Enumeration only: about 1.2 s and 330 MB on a 2-core x86-64 box.
+    # Enumeration only: about 0.5 s and 145 MB on a 2-core x86-64 box.
     skel = enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
     assert skel.complete_flag
     assert skel.counts == (
@@ -261,7 +261,7 @@ print(json.dumps({"counts": skel.counts, "complete": skel.complete_flag,
 
 @pytest.mark.slow
 def test_scale_three_census_of_the_eight_cube():
-    # About 10 s and 1.4 GB on a 2-core x86-64 box.  The child process runs
+    # About 5 s and 0.9 GB on a 2-core x86-64 box.  The child process runs
     # under a 2 GiB address-space limit, which 4-byte rows (2.7 GB) do not
     # fit: its layer 7 alone needs 1.24 GB.  One BLAS thread keeps the
     # address space the same on any number of cores.
@@ -283,7 +283,7 @@ def test_scale_three_census_of_the_eight_cube():
 @pytest.mark.slow
 @pytest.mark.parametrize("p", [2, 3])
 def test_scale_three_full_vector_for_the_seven_cube(p):
-    # About 2.5 s and 180 MB per field on a 2-core x86-64 box; GF(3) is the
+    # About 1.4 s and 160 MB per field on a 2-core x86-64 box; GF(3) is the
     # torsion sentinel.
     skel = enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
     assert skel.complete_flag
@@ -308,7 +308,8 @@ def test_scale_three_vector_through_dimension_nine_for_the_eight_cube():
 
 _NINE_CUBE_CHILD = """
 import json, resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+limit = int(sys.argv[2]) << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 from cuberips import SpaceSpec, betti_numbers, enumerate_skeleton
 skel = enumerate_skeleton(SpaceSpec.hypercube(9, 3), 5)
 bv = betti_numbers(skel, int(sys.argv[1]), 4)
@@ -316,22 +317,42 @@ print(json.dumps({"betti": bv.reduced_betti, "trusted": bv.trusted_through}))
 """
 
 
+def _nine_cube_child(p: int, gibibytes: int) -> subprocess.CompletedProcess:
+    """Layers 0..5 of the 9-cube at scale 3 and their vector through
+    dimension 4 over GF(p), in a child process under an address-space limit
+    of the given GiB.  One BLAS thread keeps the address space the same on
+    any number of cores."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", _NINE_CUBE_CHILD, str(p), str(gibibytes)],
+                          env=env, capture_output=True, text=True, timeout=600)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("p", [2, 3])
 def test_scale_three_four_sphere_count_for_the_nine_cube(p):
-    # Layers 0..5 of the 9-cube at scale 3 (66.6 M simplices), about 18 s
-    # and 2.3 GB per field on a 2-core x86-64 box.  The child process runs
-    # under a 4 GiB address-space limit: candidates kept for the last layer
-    # (another 2.8 GB) fail the test, not the machine.  One BLAS thread keeps
-    # the address space the same on any number of cores.
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)),
-               OPENBLAS_NUM_THREADS="1")
-    child = subprocess.run([sys.executable, "-c", _NINE_CUBE_CHILD, str(p)], env=env,
-                           capture_output=True, text=True, timeout=600)
+    # Layers 0..5 of the 9-cube at scale 3 (66.6 M simplices), about 9 s
+    # and 1.46 GB per field on a 2-core x86-64 box.  The child process runs
+    # under a 4 GiB address-space limit, so that a layer kept whole by
+    # mistake fails the test, not the machine.
+    child = _nine_cube_child(p, 4)
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout.splitlines()[-1])
     assert result["betti"] == [0, 0, 0, 0, 1471]
     assert result["betti"][4] == conjectured_four_sphere_count(9)
+    assert result["trusted"] == 4
+
+
+@pytest.mark.slow
+def test_nine_cube_layers_through_five_fit_two_gibibytes():
+    # The same run under 2 GiB: word-major candidate planes store no word
+    # that is zero by construction, so enumeration peaks at about 1.46 GB.
+    # Candidates stored as all eight words of every row asked for more:
+    # "dimension 4 needs about 1753394096 bytes, 1725181952 are left".
+    child = _nine_cube_child(2, 2)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["betti"] == [0, 0, 0, 0, 1471]
     assert result["trusted"] == 4
 
 
@@ -347,7 +368,7 @@ print(betti_single_dim(SpaceSpec.hypercube(9, 3), 4))
 def test_scale_three_four_sphere_count_for_the_nine_cube_by_single_dim():
     # Layers 0..4 of the 9-cube at scale 3; δ_4 reads its cofaces from the
     # graph and names them by rank key, so layer 5 (about 44 M simplices) is
-    # never built.  About 8 s and 0.9 GB on a 2-core x86-64 box; the child
+    # never built.  About 5.5 s and 0.85 GB on a 2-core x86-64 box; the child
     # runs under a 2 GiB address-space limit.  The test above, which stores
     # layer 5, is the independent check.  One BLAS thread, as above.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuberips.__file__)),

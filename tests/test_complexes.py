@@ -364,18 +364,20 @@ def test_byte_budget_aborts_under_a_low_cgroup_limit(tmp_path, monkeypatch):
     assert partial == enumerate_skeleton(SpaceSpec.hypercube(7, 3), len(partial) - 1).counts
 
 
-# Q9 at scale 2 through dimension 3, on eight candidate words: for each layer
-# k >= 1, _layer_bytes of its per-word counts, and the larger bound that puts
-# every child in one word.
+# Q9 at scale 2 through dimension 3, on eight candidate planes: for each
+# layer k >= 1, _layer_bytes of its per-plane counts, and the larger bound
+# of a row-major layout that stores all eight candidate words for every row.
 _Q9R2_COUNTS = (512, 11520, 61440, 122880)
-_Q9R2_BOUNDS = {1: (1_285_632, 2_626_560), 2: (7_375_872, 14_131_200),
-                3: (11_057_408, 16_121_856)}
+_Q9R2_BOUNDS = {1: (487_680, 1_285_632), 2: (2_580_176, 7_375_872),
+                3: (2_760_832, 11_057_408)}
 
 
 def test_byte_gate_asks_once_per_layer_for_its_per_word_bound(monkeypatch):
     # With the free bytes pinned below, at and between the two bounds of
-    # each layer, every layer asks _reserve once, for its per-word bound,
-    # and the first layer whose bound passes what is free aborts with it.
+    # each layer, every layer asks _reserve once, for its per-plane bound,
+    # and the first layer whose bound passes what is free aborts with it;
+    # what is free between the two bounds admits the layer.  Layer 1's
+    # bound is below _SMALL_LAYER, so no pin refuses it.
     asked = []
     reserve = complexes._reserve
 
@@ -388,14 +390,14 @@ def test_byte_gate_asks_once_per_layer_for_its_per_word_bound(monkeypatch):
     space = SpaceSpec.hypercube(9, 2)
     per_word = [(k, bound) for k, (bound, _) in _Q9R2_BOUNDS.items()]
     frees = [None]
-    for bound, one_word in _Q9R2_BOUNDS.values():
-        frees += [bound - 1, bound, (bound + one_word) // 2, one_word - 1]
+    for bound, row_major in _Q9R2_BOUNDS.values():
+        frees += [bound - 1, bound, (bound + row_major) // 2, row_major - 1]
     for free in frees:
         if free is not None:
             monkeypatch.setattr(complexes, "_free_bytes", lambda free=free: free)
         asked.clear()
-        stop = next((k for k, bound in per_word if free is not None and bound > free),
-                    None)
+        stop = next((k for k, bound in per_word if free is not None
+                     and bound > max(free, complexes._SMALL_LAYER)), None)
         if stop is None:
             assert enumerate_skeleton(space, 3).counts == _Q9R2_COUNTS
             assert asked == per_word, f"free={free}"
@@ -488,6 +490,60 @@ def test_random_graph_past_one_word_is_in_colex_order():
         assert (np.diff(skel.layer_keys(k)) > 0).all(), f"k={k}"
 
 
+def _random_graph(nv: int, density: float) -> list[tuple[int, int]]:
+    rng = np.random.default_rng(nv)
+    return [(a, b) for a, b in combinations(range(nv), 2) if rng.random() < density]
+
+
+@pytest.mark.parametrize("nv", [63, 64, 65, 127, 128, 129, 200])
+def test_random_graphs_across_word_boundaries_match_networkx(nv):
+    # one, two, three and four candidate planes, with vertices on both
+    # sides of each word boundary
+    edges = _random_graph(nv, 0.2)
+    expected = _networkx_cliques(range(nv), edges)
+    skel = flag_skeleton_from_graph(range(nv), edges, len(expected) - 1)
+    assert skel.complete_flag
+    _assert_layers_are(skel, expected)
+
+
+@pytest.mark.parametrize("nv", [65, 200])
+def test_candidate_planes_are_prefixes_of_the_rows(monkeypatch, nv):
+    # Plane w of a layer holds one word for each row whose top vertex is
+    # below 64(w+1), a prefix of the rows, and that word is the row's
+    # common neighbours above its top in word w; every row past the prefix
+    # has none there.  _word_counts sums the popcounts of those words.
+    edges = _random_graph(nv, 0.3)
+    near = np.zeros((nv, nv), dtype=bool)
+    near[tuple(np.array(edges).T)] = True
+    near |= near.T
+    words = -(-nv // 64)
+    seen = []
+    next_layer = complexes._next_layer
+
+    def spy(rows, planes, graph, children, last):
+        seen.append(rows.shape[1])
+        top = rows[:, -1].astype(np.int64)
+        cand = near[rows].all(axis=1) & (np.arange(nv) > top[:, None])
+        packed = np.zeros((len(rows), 8 * words), dtype=np.uint8)
+        packed[:, : -(-nv // 8)] = np.packbits(cand, axis=1, bitorder="little")
+        want = packed.view("<u8")
+        assert len(planes) == words
+        for w, plane in enumerate(planes):
+            length = int(np.count_nonzero(top < 64 * (w + 1)))
+            assert plane.shape == (length,) and plane.flags.c_contiguous
+            assert np.array_equal(plane, want[:length, w])
+            assert not want[length:, w].any()
+        counts = complexes._word_counts(planes)
+        assert counts == ([int(c) for c in np.bitwise_count(want).sum(axis=0)],
+                          [int(h) for h in np.count_nonzero(want, axis=0)])
+        assert children == counts[0]
+        return next_layer(rows, planes, graph, children, last)
+
+    monkeypatch.setattr(complexes, "_next_layer", spy)
+    skel = flag_skeleton_from_graph(range(nv), edges, 8)
+    assert seen == list(range(1, skel.top_dimension() + 1))
+
+
 @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
 def test_complete_graphs_fill_every_candidate_byte(n):
     # In K_n every candidate byte is 0xFF and bit 63 of each full word is
@@ -536,30 +592,31 @@ def test_set_bits_matches_unpackbits(words):
 
 
 def test_layer_bytes_bounds_the_traced_peak(monkeypatch):
-    # The byte gate trusts _layer_bytes, with per-word counts, to bound what
-    # each layer's _next_layer and the counts after it allocate.  Layers
-    # above 10 K children are traced: uint8 rows on one word (Q6 at scale
-    # 3), on eight (Q9 at scale 2, capped so its last layer keeps one
-    # block), and on three (a random graph).
+    # The byte gate trusts _layer_bytes, with per-plane counts, to bound
+    # what each layer's _next_layer and the counts after it allocate.
+    # Layers above 10 K children are traced: uint8 rows on one word (Q6 at
+    # scale 3), on eight (Q9 at scale 2, capped so its last layer keeps one
+    # block), on three (a random graph), and uint16 rows on sixteen (Q10 at
+    # scale 2).
     next_layer = complexes._next_layer
     checked = []
 
-    def traced(rows, cand, up, size, last):
-        bound = complexes._layer_bytes(rows, *complexes._word_counts(cand), last)
+    def traced(rows, planes, graph, children, last):
+        bound = complexes._layer_bytes(rows, planes, *complexes._word_counts(planes), last)
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         try:
-            out = next_layer(rows, cand, up, size, last)
+            out = next_layer(rows, planes, graph, children, last)
             complexes._word_counts(out[1])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        if size > 10_000:
-            checked.append((rows.shape[1], size, peak, bound))
+        if sum(children) > 10_000:
+            checked.append((rows.shape[1], sum(children), peak, bound))
         return out
 
     monkeypatch.setattr(complexes, "_next_layer", traced)
@@ -567,12 +624,14 @@ def test_layer_bytes_bounds_the_traced_peak(monkeypatch):
     edges = [(a, b) for a, b in combinations(range(150), 2) if rng.random() < 0.3]
     runs = [lambda: enumerate_skeleton(SpaceSpec.hypercube(6, 3), 11),
             lambda: enumerate_skeleton(SpaceSpec.hypercube(9, 2), 4),
-            lambda: flag_skeleton_from_graph(range(150), edges, 8)]
+            lambda: flag_skeleton_from_graph(range(150), edges, 8),
+            lambda: enumerate_skeleton(SpaceSpec.hypercube(10, 2), 3)]
     for run in runs:
         checked.clear()
         run()
         assert checked
         for width, size, peak, bound in checked:
+            print(width, size, peak, bound, round(peak / bound, 3))
             assert peak <= bound, f"layer {width} of {size}: {peak} > {bound}"
 
 
