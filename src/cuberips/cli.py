@@ -136,7 +136,8 @@ def cmd_betti(args, parser) -> int:
     space = _space_from_args(args, parser)
     _check_args(args.field, args.maxdim)  # before enumerating, which may take long
     t0 = time.perf_counter()
-    skel = enumerate_skeleton(space, args.maxdim + 1, budget=args.budget)
+    # A flag skeleton is exact through its cap; cap 1 stores the edges.
+    skel = enumerate_skeleton(space, max(args.maxdim, 1), budget=args.budget)
     bv = betti_numbers(skel, p=args.field, maxdim=args.maxdim)
     if args.export_skeleton:
         write_skeleton_text(skel, args.export_skeleton)

@@ -19,7 +19,7 @@ def test_betti_tsv_output(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "dim\tbetti\ttrusted"
     assert "3\t9\tyes" in out
-    assert out[-2] == "counts\t16\t80\t160\t120\t16\t0"
+    assert out[-2] == "counts\t16\t80\t160\t120\t16"
     assert out[-1].startswith("elapsed_ms\t")
 
 
@@ -38,7 +38,7 @@ def test_betti_json_round_trip(capsys):
     assert report.command == "betti"
     assert report.params["m"] == 8 and report.params["r"] == 1
     assert report.betti[1] == {"dim": 1, "value": 5, "trusted": True}
-    assert report.counts == [8, 12, 0, 0]
+    assert report.counts == [8, 12, 0]
     assert Report.from_json(report.to_json()) == report
 
 
@@ -150,7 +150,7 @@ def test_export_skeleton(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     lines = path.read_text(encoding="ascii").splitlines()
-    assert lines[0] == "4 8 3 2"
+    assert lines[0] == "3 8 3 2"
     assert len(lines) == 1 + 8 + 24 + 32 + 16
 
 

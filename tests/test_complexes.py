@@ -186,7 +186,8 @@ for mb in (120, 32):
         enumerate_skeleton(SpaceSpec.hypercube(7, 3), 13)
     except SizeBudgetExceeded as err:
         partial.append(err.partial_counts)
-print(json.dumps({"partial": partial, "exit": main(["betti", "--n", "7", "--r", "3"])}))
+print(json.dumps({"partial": partial,
+                  "exit": main(["betti", "--n", "7", "--r", "3", "--maxdim", "5"])}))
 """
 
 
@@ -196,7 +197,8 @@ def test_byte_budget_aborts_under_a_low_address_space_limit():
     # 40, 80, 104 and 95 MB.  With 32 or 120 MB of address space left, they
     # used to end in a MemoryError from np.empty or np.unpackbits; now the
     # layer that does not fit (4, then 6) is refused before it is allocated,
-    # like one over the simplex budget, and the CLI exits 2.
+    # like one over the simplex budget, and the CLI exits 2 (at maxdim 5, so
+    # that layer 4 is not the last one it builds).
     src = os.path.dirname(os.path.dirname(cuberips.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     child = subprocess.run([sys.executable, "-c", _LOW_LIMIT_CHILD], env=env,

@@ -131,17 +131,16 @@ def test_face_closure_is_checked(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_each_reduced_map_logs_its_counts(caplog, p):
-    # Over both fields one column of δ_1 collides, is read with the four
-    # owners it meets, one per round, and is zero over GF(2) but a new
-    # pivot over GF(3), whose row it takes in a fifth round, once a search
-    # has found that no column settled on it.
+    # Over both fields one column of δ_1 collides.  It is read, then the
+    # four owners its reduction can meet, in three levels, before it is
+    # reduced; it is zero over GF(2) but a new pivot over GF(3), whose row
+    # it takes, since no column settled on it.
     with caplog.at_level(logging.DEBUG, logger="cuberips"):
         betti_numbers(skeleton_from_facets(RP2_FACETS), p=p)
-    rounds = {2: 4, 3: 5}[p]
     assert [r.getMessage() for r in caplog.records if r.name == "cuberips"] == [
         "δ_0: 6 columns, 5 edges in the spanning forest",
-        "δ_1: 15 columns, 5 cleared, 9 settled in NumPy, 5 read, 4 additions "
-        f"in {rounds} rounds",
+        "δ_1: 15 columns, 5 cleared, 9 settled in NumPy, 5 read, 4 additions, "
+        "3 owner levels",
     ]
 
 
@@ -378,7 +377,7 @@ def test_top_map_keyed_by_rank_reduces_its_collisions(caplog):
         assert betti_single_dim(SpaceSpec.hypercube(6, 3), 4) == 11
     assert [r.getMessage() for r in caplog.records if r.name == "cuberips"][-1] == (
         "δ_4: 144704 columns, 44529 cleared, 99812 settled in NumPy, 1232 read, "
-        "1221 additions in 14 rounds"
+        "1221 additions, 2 owner levels"
     )
 
 
@@ -398,8 +397,47 @@ def test_keyed_top_map_logs_rank_keys_with_the_layer_above_stored(caplog):
     assert logs[0] == logs[1] and len(logs[0]) == 5
     assert logs[0][-1] == (
         "δ_4: 144704 columns, 44529 cleared, 99812 settled in NumPy, 1232 read, "
-        "1221 additions in 14 rounds"
+        "1221 additions, 2 owner levels"
     )
+
+
+def test_collisions_are_read_before_they_are_reduced(monkeypatch):
+    # Each block of colliding columns is read, and then its owners one level
+    # at a time, before any column is reduced, so a map reads once per block
+    # and once per level however long its columns' chains of owners are.
+    real_reader, real_reduce = homology._coface_reader, homology._reduce_index
+    calls, want = [], []
+
+    def counting_reader(*args):
+        read = real_reader(*args)
+        calls.append(0)
+
+        def counted(cols):
+            calls[-1] += 1
+            return read(cols)
+
+        return counted
+
+    def recording_reduce(low, read, p, stats=None):
+        stats = {} if stats is None else stats
+        pivot_rows = real_reduce(low, read, p, stats)
+        colliding = int((low >= 0).sum()) - stats["settled"]
+        want.append(-(-colliding // homology._BLOCK) + stats["levels"])
+        return pivot_rows
+
+    monkeypatch.setattr(homology, "_coface_reader", counting_reader)
+    monkeypatch.setattr(homology, "_reduce_index", recording_reduce)
+    assert betti_single_dim(SpaceSpec.hypercube(6, 3), 4) == 11
+    assert calls == want and 1 < calls[-1] <= 4  # δ_4 collides
+    calls.clear()
+    want.clear()
+    assert betti_numbers(skeleton_from_facets(RP2_FACETS), p=3).reduced_betti == (0, 0, 0)
+    assert calls == want and calls[0] > 1  # δ_1 collides
+    calls.clear()
+    want.clear()
+    monkeypatch.setattr(homology, "_BLOCK", 128)  # δ_4's 363 colliding columns in 3 blocks
+    assert betti_single_dim(SpaceSpec.hypercube(6, 3), 4) == 11
+    assert calls == want and calls[-1] > 3
 
 
 def test_betti_numbers_never_ranks_the_layer_above_the_top_map(monkeypatch):
